@@ -22,7 +22,7 @@
 #include "src/engine/accuracy_annotator.h"
 #include "src/engine/executor.h"
 #include "src/engine/scan.h"
-#include "src/engine/sharded_partitioned_window.h"
+#include "src/engine/window_aggregate.h"
 #include "src/stream/async_prefetch_source.h"
 
 using namespace ausdb;
@@ -65,19 +65,17 @@ engine::OperatorPtr MakeStalledSource(size_t count, int stall_us) {
       });
 }
 
-// The downstream work the prefetch overlaps with: a sharded partitioned
-// window aggregation followed by bootstrap accuracy annotation — the
+// The downstream work the prefetch overlaps with: a grouped window
+// aggregation followed by bootstrap accuracy annotation — the
 // paper's accuracy-carrying hot path, and genuinely compute-heavy
 // (kResamples d.f. resamples per output tuple).
 Result<engine::OperatorPtr> MakePipeline(engine::OperatorPtr source) {
-  engine::ShardedWindowOptions opts;
-  opts.window.window_size = kWindow;
-  opts.window.emit_partial = true;
-  opts.num_shards = 8;
-  opts.batch_size = 32;
+  engine::WindowAggregateOptions opts;
+  opts.window_size = kWindow;
+  opts.emit_partial = true;
   AUSDB_ASSIGN_OR_RETURN(auto agg,
-                         engine::ShardedPartitionedWindowAggregate::Make(
-                             std::move(source), "k", "x", "avg", opts));
+                         engine::WindowAggregate::Make(std::move(source), "x",
+                                                       "avg", opts, "k"));
   engine::AccuracyAnnotatorOptions aopts;
   aopts.method = accuracy::AccuracyMethod::kBootstrap;
   aopts.bootstrap_resamples = kResamples;

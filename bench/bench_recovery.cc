@@ -1,6 +1,6 @@
 // Crash-recovery cost: (a) durable checkpoint latency (manifest encode
 // + temp write + fsync + rename + directory fsync) and restore latency
-// as the checkpointed state grows with window size and shard count, and
+// as the checkpointed state grows with window size, and
 // (b) steady-state throughput overhead of periodic checkpointing at
 // several intervals.
 //
@@ -23,7 +23,7 @@
 #include "src/common/logging.h"
 #include "src/engine/executor.h"
 #include "src/engine/recovery_manager.h"
-#include "src/engine/sharded_partitioned_window.h"
+#include "src/engine/window_aggregate.h"
 #include "src/stream/replayable_source.h"
 
 using namespace ausdb;
@@ -51,7 +51,7 @@ struct Pipeline {
   engine::Operator* agg = nullptr;
 };
 
-Pipeline MakePipeline(size_t count, size_t window, size_t shards) {
+Pipeline MakePipeline(size_t count, size_t window) {
   stream::KeyedGaussianSourceOptions sopts;
   sopts.count = count;
   sopts.points_per_item = 3;
@@ -59,11 +59,10 @@ Pipeline MakePipeline(size_t count, size_t window, size_t shards) {
   AUSDB_CHECK(src.ok()) << src.status().ToString();
   Pipeline p;
   p.source = src->get();
-  engine::ShardedWindowOptions opts;
-  opts.window.window_size = window;
-  opts.num_shards = shards;
-  auto agg = engine::ShardedPartitionedWindowAggregate::Make(
-      std::move(*src), "key", "value", "avg", opts);
+  engine::WindowAggregateOptions opts;
+  opts.window_size = window;
+  auto agg = engine::WindowAggregate::Make(std::move(*src), "value", "avg",
+                                           opts, "key");
   AUSDB_CHECK(agg.ok()) << agg.status().ToString();
   p.agg = agg->get();
   p.root = std::move(*agg);
@@ -80,15 +79,13 @@ engine::RecoveryManager Register(const fs::path& dir, Pipeline& p) {
 // -------------------------------------------------------------------
 // (a) checkpoint + restore latency vs state size.
 
-void LatencyRow(size_t window, size_t shards) {
+void LatencyRow(size_t window) {
   // Enough input that every partition's window is full at snapshot
   // time: the checkpoint carries its steady-state maximum.
   const size_t count = 4 * window + 4096;
-  const fs::path dir =
-      ScratchDir("lat_w" + std::to_string(window) + "_s" +
-                 std::to_string(shards));
+  const fs::path dir = ScratchDir("lat_w" + std::to_string(window));
 
-  Pipeline p = MakePipeline(count, window, shards);
+  Pipeline p = MakePipeline(count, window);
   engine::RecoveryManager mgr = Register(dir, p);
   auto drained = engine::Drain(*p.root);
   AUSDB_CHECK(drained.ok()) << drained.status().ToString();
@@ -108,7 +105,7 @@ void LatencyRow(size_t window, size_t shards) {
 
   double best_restore = 1e9;
   for (int rep = 0; rep < 5; ++rep) {
-    Pipeline fresh = MakePipeline(count, window, shards);
+    Pipeline fresh = MakePipeline(count, window);
     engine::RecoveryManager rmgr = Register(dir, fresh);
     const auto start = Clock::now();
     auto recovered = rmgr.Restore();
@@ -118,7 +115,7 @@ void LatencyRow(size_t window, size_t shards) {
     best_restore = std::min(best_restore, secs);
   }
 
-  bench::PrintRow({std::to_string(window), std::to_string(shards),
+  bench::PrintRow({std::to_string(window),
                    bench::FmtInt(double(bytes) / 1024.0),
                    bench::Fmt(best_write * 1e3, 3),
                    bench::Fmt(best_restore * 1e3, 3)},
@@ -148,7 +145,6 @@ double MeasureRate(Pipeline& p, engine::RecoveryManager* mgr,
 void OverheadTable() {
   constexpr size_t kCount = 120000;
   constexpr size_t kWindow = 1024;
-  constexpr size_t kShards = 4;
   const std::vector<uint64_t> intervals = {1000, 10000, 100000};
 
   double base_best = 0.0;
@@ -157,14 +153,14 @@ void OverheadTable() {
   std::vector<uint64_t> snapshots(intervals.size(), 0);
 
   for (int rep = 0; rep < 3; ++rep) {
-    Pipeline bare = MakePipeline(kCount, kWindow, kShards);
+    Pipeline bare = MakePipeline(kCount, kWindow);
     const double base = MeasureRate(bare, nullptr, 0);
     base_best = std::max(base_best, base);
 
     for (size_t i = 0; i < intervals.size(); ++i) {
       const fs::path dir =
           ScratchDir("ovh_" + std::to_string(intervals[i]));
-      Pipeline p = MakePipeline(kCount, kWindow, kShards);
+      Pipeline p = MakePipeline(kCount, kWindow);
       engine::RecoveryManager mgr = Register(dir, p);
       const double rate = MeasureRate(p, &mgr, intervals[i]);
       ckpt_best[i] = std::max(ckpt_best[i], rate);
@@ -197,10 +193,8 @@ int main() {
 
   std::printf("\ncheckpoint write (encode+fsync+rename) and restore "
               "latency, best of 5:\n");
-  bench::PrintRow({"window", "shards", "KiB", "write ms", "restore ms"},
-                  12);
-  for (size_t window : {128, 1024, 8192}) LatencyRow(window, 4);
-  for (size_t shards : {1, 8}) LatencyRow(1024, shards);
+  bench::PrintRow({"window", "KiB", "write ms", "restore ms"}, 12);
+  for (size_t window : {128, 1024, 8192}) LatencyRow(window);
 
   std::printf("\nsteady-state overhead of periodic checkpoints "
               "(window %d, paired runs):\n", 1024);

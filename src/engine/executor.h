@@ -39,8 +39,10 @@ Result<std::vector<Tuple>> BatchCollect(Operator& root);
 Result<size_t> BatchDrain(Operator& root);
 
 /// \brief BatchCollect with `pool` bound to the plan for the duration of
-/// the drain (see ParallelCollect); batched + parallel output is still
-/// bit-identical to plain Collect.
+/// the drain: parallel-aware operators (e.g. a grouped WindowAggregate)
+/// fan each batch's work across the pool's workers. Under the
+/// determinism contract the result is bit-identical to plain Collect at
+/// any pool size. The binding is removed before returning.
 Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
                                                 ThreadPool& pool);
 
@@ -48,11 +50,12 @@ Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
 Result<size_t> ParallelBatchDrain(Operator& root, ThreadPool& pool);
 
 /// \brief Collect with `pool` bound to the plan for the duration of the
-/// drain: parallel-aware operators (e.g.
-/// ShardedPartitionedWindowAggregate) fan their work across the pool's
-/// workers. Under the determinism contract the result is bit-identical
-/// to plain Collect at any pool size. The binding is removed before
-/// returning.
+/// drain. Next() pulls one tuple at a time, which leaves a grouped
+/// WindowAggregate nothing to fan out: no operator uses the pool inside
+/// Next(), so this runs serially. Drive a plan through
+/// ParallelBatchCollect to fan its windows out. The result is
+/// bit-identical to plain Collect at any pool size. The binding is
+/// removed before returning.
 Result<std::vector<Tuple>> ParallelCollect(Operator& root, ThreadPool& pool);
 
 /// \brief Drain variant of ParallelCollect.

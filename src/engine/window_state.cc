@@ -39,21 +39,44 @@ Result<std::string> PartitionKeyFromValue(const expr::Value& v) {
   return std::to_string(kd);
 }
 
-std::optional<KeyWindowState::Aggregate> KeyWindowState::Observe(
-    const WindowEntry& e, const WindowAggregateOptions& options) {
+void KeyWindowState::PushMinSlot(size_t sample_size) {
+  while (!min_deque_.empty() &&
+         min_deque_.back().sample_size >= sample_size) {
+    min_deque_.pop_back();
+  }
+  min_deque_.push_back({pushed_++, sample_size});
+}
+
+void KeyWindowState::Push(const WindowEntry& e) {
   window.push_back(e);
   sum_mean.Add(e.mean);
   sum_variance.Add(e.variance);
+  PushMinSlot(e.sample_size);
+}
 
+void KeyWindowState::PopFront() {
+  const WindowEntry& old = window.front();
+  sum_mean.Subtract(old.mean);
+  sum_variance.Subtract(old.variance);
+  if (min_deque_.front().position == pushed_ - window.size()) {
+    min_deque_.pop_front();
+  }
+  window.pop_front();
+}
+
+void KeyWindowState::RebuildMinDeque() {
+  min_deque_.clear();
+  pushed_ = 0;
+  for (const WindowEntry& e : window) PushMinSlot(e.sample_size);
+}
+
+std::optional<KeyWindowState::Aggregate> KeyWindowState::Observe(
+    const WindowEntry& e, const WindowAggregateOptions& options) {
+  Push(e);
   if (options.kind == WindowKind::kTumbling) {
     if (window.size() < options.window_size) return std::nullopt;
   } else {
-    if (window.size() > options.window_size) {
-      const WindowEntry& old = window.front();
-      sum_mean.Subtract(old.mean);
-      sum_variance.Subtract(old.variance);
-      window.pop_front();
-    }
+    if (window.size() > options.window_size) PopFront();
     if (window.size() < options.window_size && !options.emit_partial) {
       return std::nullopt;
     }
@@ -67,19 +90,25 @@ std::optional<KeyWindowState::Aggregate> KeyWindowState::Observe(
     agg.mean /= w;
     agg.variance /= w * w;
   }
-  // Per-key windows are small-to-moderate; a linear scan for the
-  // minimum sample size keeps the per-partition state simple.
-  agg.df = dist::RandomVar::kCertainSampleSize;
-  for (const WindowEntry& entry : window) {
-    agg.df = std::min(agg.df, entry.sample_size);
-  }
+  agg.df = min_deque_.front().sample_size;
 
   if (options.kind == WindowKind::kTumbling) {
     window.clear();
+    min_deque_.clear();
+    pushed_ = 0;
     sum_mean.Reset();
     sum_variance.Reset();
   }
   return agg;
+}
+
+std::optional<KeyWindowState::Emission> KeyWindowState::Step(
+    const WindowEntry& e, const WindowAggregateOptions& options,
+    bool* shed_late) {
+  if (options.emit_revisions) return ObserveRevising(e, options, shed_late);
+  std::optional<Aggregate> agg = Observe(e, options);
+  if (!agg.has_value()) return std::nullopt;
+  return Emission{*agg, /*revision=*/false};
 }
 
 KeyWindowState::Aggregate KeyWindowState::ScratchAggregate(

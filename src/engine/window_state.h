@@ -1,17 +1,63 @@
 #ifndef AUSDB_ENGINE_WINDOW_STATE_H_
 #define AUSDB_ENGINE_WINDOW_STATE_H_
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
 
 #include "src/common/math_util.h"
 #include "src/common/result.h"
-#include "src/engine/tuple.h"
-#include "src/engine/window_aggregate.h"
+#include "src/expr/value.h"
 
 namespace ausdb {
 namespace engine {
+
+/// Aggregate function of a sliding window.
+enum class WindowAggFn {
+  kAvg,
+  kSum,
+};
+
+/// How the window advances.
+enum class WindowKind {
+  /// Slide by one tuple: one output per input once the window is full.
+  kSliding,
+  /// Tumble: one output per `window_size` inputs, then the window resets.
+  kTumbling,
+};
+
+/// Options of the WindowAggregate operator.
+struct WindowAggregateOptions {
+  /// Count-based window size (the paper's Section V-C uses 1000).
+  size_t window_size = 1000;
+
+  WindowAggFn fn = WindowAggFn::kAvg;
+
+  WindowKind kind = WindowKind::kSliding;
+
+  /// Emit an output per input even before the window has filled (running
+  /// aggregate over the partial window). When false, output starts with
+  /// the window_size-th tuple. Sliding windows only.
+  bool emit_partial = false;
+
+  /// Accept non-Gaussian uncertain inputs by the central limit theorem:
+  /// the aggregate's mean and variance propagate exactly, and the result
+  /// is approximated as Gaussian — a good approximation for the window
+  /// sizes streams use. When false (the default), non-Gaussian inputs
+  /// are a NotImplemented error.
+  bool allow_clt_approximation = false;
+
+  /// Event-order revision mode (sliding windows only): the schema gains
+  /// a trailing revision:bool column, the window is kept sorted by the
+  /// source-assigned sequence number, and a tuple arriving with a
+  /// sequence below the max seen is folded into the current window,
+  /// re-emitting it with corrected mean/variance/sample_size and
+  /// revision=true. Stragglers older than every retained position are
+  /// shed (counted): only the current window is ever revised — the
+  /// bounded-memory contract of count-based lateness.
+  bool emit_revisions = false;
+};
 
 /// One window element: the moments and d.f. sample size extracted from an
 /// input value (paper Lemma 3 propagates the minimum sample size), plus
@@ -34,16 +80,17 @@ Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
                                          const WindowAggregateOptions& options);
 
 /// \brief Renders a deterministic group-by key value (string or double)
-/// as the partition-map key, identically for every partitioned-window
-/// implementation.
+/// as the partition-map key.
 Result<std::string> PartitionKeyFromValue(const expr::Value& v);
 
-/// \brief The count-based window state of one partition key.
+/// \brief The count-based window state of one partition key (an
+/// ungrouped window is a single implicit key).
 ///
-/// Shared by PartitionedWindowAggregate and its sharded parallel variant
-/// so both execute the *identical* floating-point update sequence — the
-/// determinism contract (parallel output bit-identical to serial) depends
-/// on this being the single implementation.
+/// WindowAggregate runs every window — grouped or not, serial or fanned
+/// out over a thread pool — through this one state, so every path
+/// executes the *identical* floating-point update sequence: the
+/// determinism contract (parallel output bit-identical to serial)
+/// depends on this being the single implementation.
 ///
 /// Running sums use Neumaier-compensated accumulation: the evict-subtract
 /// update otherwise drifts on long streams with mixed magnitudes (a
@@ -64,7 +111,8 @@ struct KeyWindowState {
 
   /// Feeds one entry through the window (push, evict when sliding past
   /// `options.window_size`, reset when a tumbling window fires) and
-  /// returns the aggregate when this arrival produces an emission.
+  /// returns the aggregate when this arrival produces an emission. The
+  /// window-minimum d.f. comes from a monotonic deque in O(1) amortized.
   std::optional<Aggregate> Observe(const WindowEntry& e,
                                    const WindowAggregateOptions& options);
 
@@ -93,6 +141,15 @@ struct KeyWindowState {
       const WindowEntry& e, const WindowAggregateOptions& options,
       bool* shed_late);
 
+  /// Observe or ObserveRevising, as `options.emit_revisions` selects.
+  std::optional<Emission> Step(const WindowEntry& e,
+                               const WindowAggregateOptions& options,
+                               bool* shed_late);
+
+  /// Rebuilds the min-d.f. deque from `window` (after a checkpoint
+  /// restore replaced it); the deque is a pure function of the window.
+  void RebuildMinDeque();
+
   /// Revision-mode bookkeeping (unused by plain Observe).
   uint64_t max_sequence = 0;
   bool any_observed = false;
@@ -100,8 +157,31 @@ struct KeyWindowState {
   bool any_evicted = false;
 
  private:
+  /// A min-deque element: a window entry's d.f. and its position in
+  /// this key's insertion order. Eviction matches the position, never
+  /// the source sequence, which may repeat (UNION ALL of two sources).
+  struct MinSlot {
+    uint64_t position;
+    size_t sample_size;
+  };
+
+  /// Appends the next-positioned entry of d.f. `sample_size` to the min
+  /// deque, dropping the entries it dominates.
+  void PushMinSlot(size_t sample_size);
+  /// Appends `e` to the window, its sums and the min deque.
+  void Push(const WindowEntry& e);
+  /// Evicts the oldest window entry from all three.
+  void PopFront();
+
   /// Plain-double scan over the current window in deque order.
   Aggregate ScratchAggregate(const WindowAggregateOptions& options) const;
+
+  /// Monotonic (non-decreasing sample_size) deque over the plain-mode
+  /// window, answering "min sample size in window" in O(1) amortized.
+  std::deque<MinSlot> min_deque_;
+  /// Entries pushed since the window was last emptied; the window front
+  /// sits at position pushed_ - window.size().
+  uint64_t pushed_ = 0;
 };
 
 }  // namespace engine

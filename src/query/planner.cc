@@ -1,7 +1,6 @@
 #include "src/query/planner.h"
 
 #include "src/engine/limit.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/project.h"
 #include "src/engine/reorder_buffer.h"
 #include "src/engine/sort.h"
@@ -117,20 +116,13 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
       wo.window_size = spec.rows;
       wo.fn = spec.fn;
       wo.kind = spec.kind;
-      if (!query.group_by.empty()) {
-        AUSDB_ASSIGN_OR_RETURN(
-            std::unique_ptr<engine::PartitionedWindowAggregate> agg,
-            engine::PartitionedWindowAggregate::Make(
-                std::move(plan), query.group_by, spec.column, spec.alias,
-                wo));
-        plan = profiled(std::move(agg), "window");
-      } else {
-        AUSDB_ASSIGN_OR_RETURN(
-            std::unique_ptr<engine::WindowAggregate> agg,
-            engine::WindowAggregate::Make(std::move(plan), spec.column,
-                                          spec.alias, wo));
-        plan = profiled(std::move(agg), "window");
-      }
+      std::optional<std::string> key;
+      if (!query.group_by.empty()) key = query.group_by;
+      AUSDB_ASSIGN_OR_RETURN(
+          std::unique_ptr<engine::WindowAggregate> agg,
+          engine::WindowAggregate::Make(std::move(plan), spec.column,
+                                        spec.alias, wo, std::move(key)));
+      plan = profiled(std::move(agg), "window");
     }
   } else if (!query.group_by.empty()) {
     return Status::NotImplemented(

@@ -11,6 +11,7 @@
 // ASan/UBSan CI jobs turn into hard failures.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,7 @@
 
 #include "src/dist/gaussian.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/scan.h"
-#include "src/engine/sharded_partitioned_window.h"
 #include "src/engine/window_aggregate.h"
 #include "src/serde/checkpoint.h"
 #include "src/serde/checkpoint_file.h"
@@ -53,7 +52,7 @@ std::vector<Tuple> KeyedTuples(size_t n) {
   return tuples;
 }
 
-// A checkpointed WindowAggregate mid-stream (wagg.v3 blob).
+// A checkpointed ungrouped WindowAggregate mid-stream.
 std::string WaggBlob() {
   Schema s;
   EXPECT_TRUE(s.AddField({"x", FieldType::kUncertain}).ok());
@@ -74,37 +73,18 @@ std::string WaggBlob() {
   return *blob;
 }
 
-// A checkpointed PartitionedWindowAggregate (pwagg.v3 blob).
-std::string PwaggBlob() {
+// A checkpointed grouped WindowAggregate, after `pulled` outputs (every
+// output when unset).
+std::string GroupedBlob(size_t inputs, std::optional<size_t> pulled) {
   auto scan =
-      std::make_unique<VectorScan>(KeyedSchema(), KeyedTuples(15));
+      std::make_unique<VectorScan>(KeyedSchema(), KeyedTuples(inputs));
   WindowAggregateOptions opts;
   opts.window_size = 3;
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "key", "x",
-                                              "avg", opts);
+  auto agg = WindowAggregate::Make(std::move(scan), "x", "avg", opts, "key");
   EXPECT_TRUE(agg.ok());
-  auto out = Collect(**agg);
+  auto out = pulled.has_value() ? CollectLimit(**agg, *pulled)
+                                : Collect(**agg);
   EXPECT_TRUE(out.ok());
-  auto blob = (*agg)->SaveCheckpoint();
-  EXPECT_TRUE(blob.ok());
-  return *blob;
-}
-
-// A checkpointed ShardedPartitionedWindowAggregate mid-batch, with
-// pending emissions in its queue (spwagg.v1 blob).
-std::string SpwaggBlob() {
-  auto scan =
-      std::make_unique<VectorScan>(KeyedSchema(), KeyedTuples(20));
-  ShardedWindowOptions opts;
-  opts.window.window_size = 3;
-  opts.num_shards = 2;
-  opts.batch_size = 8;
-  auto agg = ShardedPartitionedWindowAggregate::Make(std::move(scan), "key",
-                                                     "x", "avg", opts);
-  EXPECT_TRUE(agg.ok());
-  // Pull a couple of outputs so a filled batch leaves a pending queue.
-  auto some = CollectLimit(**agg, 2);
-  EXPECT_TRUE(some.ok());
   auto blob = (*agg)->SaveCheckpoint();
   EXPECT_TRUE(blob.ok());
   return *blob;
@@ -123,26 +103,12 @@ Status RestoreWagg(std::string_view blob) {
   return (*agg)->RestoreCheckpoint(blob);
 }
 
-Status RestorePwagg(std::string_view blob) {
+Status RestoreGrouped(std::string_view blob) {
   auto scan = std::make_unique<VectorScan>(KeyedSchema(),
                                            std::vector<Tuple>{});
   WindowAggregateOptions opts;
   opts.window_size = 3;
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "key", "x",
-                                              "avg", opts);
-  EXPECT_TRUE(agg.ok());
-  return (*agg)->RestoreCheckpoint(blob);
-}
-
-Status RestoreSpwagg(std::string_view blob) {
-  auto scan = std::make_unique<VectorScan>(KeyedSchema(),
-                                           std::vector<Tuple>{});
-  ShardedWindowOptions opts;
-  opts.window.window_size = 3;
-  opts.num_shards = 2;
-  opts.batch_size = 8;
-  auto agg = ShardedPartitionedWindowAggregate::Make(std::move(scan), "key",
-                                                     "x", "avg", opts);
+  auto agg = WindowAggregate::Make(std::move(scan), "x", "avg", opts, "key");
   EXPECT_TRUE(agg.ok());
   return (*agg)->RestoreCheckpoint(blob);
 }
@@ -156,9 +122,9 @@ struct Subject {
 };
 
 std::vector<Subject> Subjects() {
-  return {{"wagg", WaggBlob(), &RestoreWagg},
-          {"pwagg", PwaggBlob(), &RestorePwagg},
-          {"spwagg", SpwaggBlob(), &RestoreSpwagg}};
+  return {{"ungrouped", WaggBlob(), &RestoreWagg},
+          {"grouped", GroupedBlob(15, std::nullopt), &RestoreGrouped},
+          {"grouped mid-stream", GroupedBlob(20, 2), &RestoreGrouped}};
 }
 
 // ---------------------------------------------------------------------
@@ -232,26 +198,34 @@ TEST(CheckpointCorruptionTest, TokenLayerSurvivesEveryByteFlip) {
 }
 
 // A damaged count field must be rejected before it drives an
-// allocation: craft a pwagg.v3 blob declaring 2^40 partitions.
-TEST(CheckpointCorruptionTest, HugeDeclaredCountsRejectedUpFront) {
+// allocation: craft wagg.v5 blobs declaring 2^40 partitions, and 2^40
+// entries in one partition.
+serde::CheckpointWriter GroupedHeader() {
   serde::CheckpointWriter w;
-  w.Token("pwagg.v3");
+  w.Token("wagg.v5");
   w.Uint(0);  // kind = sliding
   w.Uint(0);  // fn = avg
   w.Uint(3);  // window size
+  w.Uint(0);  // no revisions
+  w.Uint(1);  // grouped
   w.Uint(0);  // input consumed
+  w.Uint(0);  // shed late
+  return w;
+}
+
+TEST(CheckpointCorruptionTest, HugeDeclaredCountsRejectedUpFront) {
+  serde::CheckpointWriter w = GroupedHeader();
   w.Uint(uint64_t{1} << 40);  // partition count: absurd
-  const Status st = RestorePwagg(std::move(w).Finish());
+  const Status st = RestoreGrouped(std::move(w).Finish());
   ASSERT_TRUE(st.IsCorruption()) << st.ToString();
 
-  serde::CheckpointWriter w2;
-  w2.Token("spwagg.v1");
-  w2.Uint(0);
-  w2.Uint(0);
-  w2.Uint(3);
-  w2.Uint(0);                  // input consumed
-  w2.Uint(uint64_t{1} << 40);  // partition count
-  const Status st2 = RestoreSpwagg(std::move(w2).Finish());
+  serde::CheckpointWriter w2 = GroupedHeader();
+  w2.Uint(1);  // one partition
+  w2.Bytes("k0");
+  for (int i = 0; i < 4; ++i) w2.Double(0.0);  // sums and compensations
+  for (int i = 0; i < 4; ++i) w2.Uint(0);      // revision bookkeeping
+  w2.Uint(uint64_t{1} << 40);                  // entry count: absurd
+  const Status st2 = RestoreGrouped(std::move(w2).Finish());
   ASSERT_TRUE(st2.IsCorruption()) << st2.ToString();
 }
 

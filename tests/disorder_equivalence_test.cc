@@ -22,12 +22,11 @@
 #include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/recovery_manager.h"
 #include "src/engine/reorder_buffer.h"
 #include "src/engine/scan.h"
-#include "src/engine/sharded_partitioned_window.h"
 #include "src/engine/time_window_aggregate.h"
+#include "src/engine/window_aggregate.h"
 #include "src/serde/checkpoint.h"
 #include "src/serde/json_writer.h"
 #include "src/stream/async_prefetch_source.h"
@@ -235,9 +234,9 @@ TEST(DisorderEquivalenceTest, SeededDisorderIsReplayable) {
   }
 }
 
-// Sharded revision mode under seeded sequence disorder, across thread
-// counts {1, 4}: output is byte-identical to the serial partitioned
-// operator on the same disordered stream.
+// Grouped revision mode under seeded sequence disorder, batched with pools
+// of {1, 4} threads bound (4 fans out): output is byte-identical to the
+// grouped window stepped serially on the same disordered stream.
 TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   Schema keyed;
   ASSERT_TRUE(keyed.AddField({"key", FieldType::kString}).ok());
@@ -255,8 +254,8 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   stream::DisorderSpec spec;
   spec.max_displacement = 6;
   spec.seed = 0xfeed;
-  // Materialize the disordered delivery once so serial and sharded see
-  // the identical stream.
+  // Materialize the disordered delivery once so the serial and pooled
+  // runs see the identical stream.
   stream::DisorderInjector injector(
       std::make_unique<VectorScan>(keyed, tuples), spec);
   auto disordered = Collect(injector);
@@ -267,9 +266,9 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   wo.window_size = 4;
   wo.emit_revisions = true;
 
-  auto serial = engine::PartitionedWindowAggregate::Make(
-      std::make_unique<PreservingScan>(keyed, *disordered), "key", "x",
-      "a", wo);
+  auto serial = engine::WindowAggregate::Make(
+      std::make_unique<PreservingScan>(keyed, *disordered), "x", "a",
+      wo, "key");
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto golden = Collect(**serial);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
@@ -277,16 +276,12 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
 
   const Schema& schema = (*serial)->schema();
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    engine::ShardedWindowOptions so;
-    so.window = wo;
-    so.num_shards = 4;
-    so.batch_size = 9;
-    auto sharded = engine::ShardedPartitionedWindowAggregate::Make(
-        std::make_unique<PreservingScan>(keyed, *disordered), "key", "x",
-        "a", so);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    auto pooled = engine::WindowAggregate::Make(
+        std::make_unique<PreservingScan>(keyed, *disordered), "x", "a", wo,
+        "key");
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
     ThreadPool pool(threads);
-    auto out = engine::ParallelCollect(**sharded, pool);
+    auto out = engine::ParallelBatchCollect(**pooled, pool);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     ASSERT_EQ(out->size(), golden->size()) << threads << " threads";
     for (size_t i = 0; i < out->size(); ++i) {
@@ -294,7 +289,7 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
                 serde::ToJson((*golden)[i], schema))
           << "output " << i << " at " << threads << " threads";
     }
-    EXPECT_EQ((*sharded)->shed_late(), (*serial)->shed_late())
+    EXPECT_EQ((*pooled)->shed_late(), (*serial)->shed_late())
         << threads << " threads";
   }
 }

@@ -19,10 +19,8 @@
 #include "src/dist/gaussian.h"
 #include "src/govern/ladder.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/reorder_buffer.h"
 #include "src/engine/scan.h"
-#include "src/engine/sharded_partitioned_window.h"
 #include "src/engine/time_window_aggregate.h"
 #include "src/engine/window_aggregate.h"
 #include "src/obs/metrics.h"
@@ -42,7 +40,7 @@ namespace {
 using engine::Collect;
 using engine::FieldType;
 using engine::OperatorPtr;
-using engine::ParallelCollect;
+using engine::ParallelBatchCollect;
 using engine::ReorderBuffer;
 using engine::ReorderBufferOptions;
 using engine::ReorderOverflowPolicy;
@@ -684,7 +682,7 @@ TEST(TimeWindowRevisionTest, CheckpointResumesMidRevision) {
 }
 
 // ---------------------------------------------------------------------
-// Count-based windows: revision mode and checkpoint v4
+// Count-based windows: revision mode and checkpoints
 
 Schema KeyedSchema() {
   Schema s;
@@ -767,9 +765,9 @@ TEST(CountWindowRevisionTest, RevisionModeRejectsTumblingWindows) {
                    .ok());
 }
 
-// The same disordered keyed stream through the serial and the sharded
-// partitioned operators, at several shard/thread counts: revision
-// outputs must be bit-identical everywhere.
+// The same disordered keyed stream through the grouped window stepped
+// serially and batched with pools of 1 and 4 threads bound (4 fans out):
+// revision outputs must be bit-identical everywhere.
 TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
   std::vector<Tuple> tuples;
   const std::vector<std::string> keys = {"k0", "k1", "k2"};
@@ -784,9 +782,9 @@ TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
   wo.window_size = 3;
   wo.emit_revisions = true;
 
-  auto serial = engine::PartitionedWindowAggregate::Make(
-      std::make_unique<PreservingScan>(KeyedSchema(), tuples), "key", "x",
-      "a", wo);
+  auto serial = engine::WindowAggregate::Make(
+      std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a", wo,
+      "key");
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto golden = Collect(**serial);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
@@ -798,29 +796,21 @@ TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
   EXPECT_TRUE(any_revision);
 
   const Schema& schema = (*serial)->schema();
-  for (size_t shards : {1u, 4u}) {
-    for (size_t threads : {1u, 4u}) {
-      engine::ShardedWindowOptions so;
-      so.window = wo;
-      so.num_shards = shards;
-      so.batch_size = 7;
-      auto sharded = engine::ShardedPartitionedWindowAggregate::Make(
-          std::make_unique<PreservingScan>(KeyedSchema(), tuples), "key",
-          "x", "a", so);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ThreadPool pool(threads);
-      auto out = ParallelCollect(**sharded, pool);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      ASSERT_EQ(out->size(), golden->size())
-          << shards << " shards, " << threads << " threads";
-      for (size_t i = 0; i < out->size(); ++i) {
-        ASSERT_EQ(serde::ToJson((*out)[i], schema),
-                  serde::ToJson((*golden)[i], schema))
-            << "output " << i << " at " << shards << " shards, "
-            << threads << " threads";
-      }
-      EXPECT_EQ((*sharded)->shed_late(), 0u);
+  for (size_t threads : {1u, 4u}) {
+    auto pooled = engine::WindowAggregate::Make(
+        std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a",
+        wo, "key");
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ThreadPool pool(threads);
+    auto out = ParallelBatchCollect(**pooled, pool);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->size(), golden->size()) << threads << " threads";
+    for (size_t i = 0; i < out->size(); ++i) {
+      ASSERT_EQ(serde::ToJson((*out)[i], schema),
+                serde::ToJson((*golden)[i], schema))
+          << "output " << i << " at " << threads << " threads";
     }
+    EXPECT_EQ((*pooled)->shed_late(), 0u);
   }
 }
 
@@ -892,39 +882,6 @@ TEST(CountWindowRevisionTest, RevisionFlagMismatchRejected) {
       "x", "a", rev);
   ASSERT_TRUE(agg_rev.ok());
   EXPECT_TRUE((*agg_rev)->RestoreCheckpoint(*blob).IsInvalidArgument());
-}
-
-TEST(CountWindowRevisionTest, PreRevisionBlobRejectedIntoRevisionMode) {
-  // A hand-crafted wagg.v3 blob (no revision block) restores fine into
-  // a legacy operator but is refused by a revision-mode one.
-  serde::CheckpointWriter w;
-  w.Token("wagg.v3");
-  w.Uint(static_cast<uint64_t>(WindowKind::kSliding));
-  w.Uint(static_cast<uint64_t>(engine::WindowAggFn::kAvg));
-  w.Uint(2);  // window_size
-  w.Uint(0);  // input_consumed
-  w.Double(0.0);
-  w.Double(0.0);
-  w.Double(0.0);
-  w.Double(0.0);
-  w.Uint(0);  // entries
-  const std::string blob = std::move(w).Finish();
-
-  WindowAggregateOptions plain;
-  plain.window_size = 2;
-  auto agg_plain = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), std::vector<Tuple>{}),
-      "x", "a", plain);
-  ASSERT_TRUE(agg_plain.ok());
-  EXPECT_TRUE((*agg_plain)->RestoreCheckpoint(blob).ok());
-
-  WindowAggregateOptions rev = plain;
-  rev.emit_revisions = true;
-  auto agg_rev = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), std::vector<Tuple>{}),
-      "x", "a", rev);
-  ASSERT_TRUE(agg_rev.ok());
-  EXPECT_TRUE((*agg_rev)->RestoreCheckpoint(blob).IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include "src/engine/executor.h"
 #include "src/engine/filter.h"
 #include "src/engine/limit.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/project.h"
 #include "src/engine/scan.h"
 #include "src/engine/sort.h"
@@ -151,9 +150,8 @@ OperatorPtr FailingKeyedSource(size_t good, size_t keys) {
 }
 
 TEST(FailureInjectionTest, ScanFailurePropagatesThroughPartitionedWindow) {
-  auto agg = PartitionedWindowAggregate::Make(FailingKeyedSource(10, 2),
-                                              "key", "x", "avg",
-                                              {.window_size = 3});
+  auto agg = WindowAggregate::Make(FailingKeyedSource(10, 2), "x", "avg",
+                                   {.window_size = 3}, "key");
   ASSERT_TRUE(agg.ok());
   auto out = Collect(**agg);
   ASSERT_FALSE(out.ok());

@@ -12,7 +12,6 @@
 #include "src/common/retry.h"
 #include "src/dist/gaussian.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/scan.h"
 #include "src/engine/window_aggregate.h"
 #include "src/serde/checkpoint.h"
@@ -653,17 +652,17 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
     }
   }
 
-  auto full = engine::PartitionedWindowAggregate::Make(
-      std::make_unique<VectorScan>(schema, tuples), "key", "x", "avg",
-      {.window_size = 8});
+  auto full = engine::WindowAggregate::Make(
+      std::make_unique<VectorScan>(schema, tuples), "x", "avg",
+      {.window_size = 8}, "key");
   ASSERT_TRUE(full.ok());
   auto full_out = engine::Collect(**full);
   ASSERT_TRUE(full_out.ok());
 
   constexpr size_t kKill = 40;
-  auto first = engine::PartitionedWindowAggregate::Make(
-      std::make_unique<VectorScan>(schema, tuples), "key", "x", "avg",
-      {.window_size = 8});
+  auto first = engine::WindowAggregate::Make(
+      std::make_unique<VectorScan>(schema, tuples), "x", "avg",
+      {.window_size = 8}, "key");
   ASSERT_TRUE(first.ok());
   auto head = engine::CollectLimit(**first, kKill);
   ASSERT_TRUE(head.ok());
@@ -674,9 +673,9 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
   // warmed before the 40th output).
   const size_t inputs_consumed = kKill + 5 * 7;
   std::vector<Tuple> rest(tuples.begin() + inputs_consumed, tuples.end());
-  auto resumed = engine::PartitionedWindowAggregate::Make(
-      std::make_unique<VectorScan>(schema, std::move(rest)), "key", "x",
-      "avg", {.window_size = 8});
+  auto resumed = engine::WindowAggregate::Make(
+      std::make_unique<VectorScan>(schema, std::move(rest)), "x", "avg",
+      {.window_size = 8}, "key");
   ASSERT_TRUE(resumed.ok());
   ASSERT_TRUE((*resumed)->RestoreCheckpoint(*blob).ok());
   EXPECT_EQ((*resumed)->partition_count(), 5u);

@@ -19,7 +19,7 @@
 #include "src/engine/instrumented_operator.h"
 #include "src/engine/pipeline_profiler.h"
 #include "src/engine/scan.h"
-#include "src/engine/sharded_partitioned_window.h"
+#include "src/engine/window_aggregate.h"
 #include "src/io/observation_loader.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/exposition.h"
@@ -322,8 +322,9 @@ TEST_F(InstrumentationEquivalenceTest,
 }
 
 // ---------------------------------------------------------------------
-// Thread-count sweep: the sharded window pipeline under ParallelCollect,
-// instrumented vs not, at {1, 4} workers — all runs bit-identical.
+// Thread-count sweep: the grouped window pipeline under
+// ParallelBatchCollect, instrumented vs not, at {1, 4} workers — all runs
+// bit-identical.
 
 engine::Schema KeyedSchema() {
   engine::Schema s;
@@ -364,19 +365,17 @@ std::string WindowBytes(const std::vector<engine::Tuple>& rows) {
 
 TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
   const std::vector<engine::Tuple> input = KeyedInput(1500);
-  engine::ShardedWindowOptions sopts;
-  sopts.window.window_size = 8;
-  sopts.window.fn = engine::WindowAggFn::kAvg;
-  sopts.num_shards = 4;
-  sopts.batch_size = 64;
+  engine::WindowAggregateOptions wopts;
+  wopts.window_size = 8;
+  wopts.fn = engine::WindowAggFn::kAvg;
 
   auto make_plan = [&](obs::MetricRegistry* registry)
       -> engine::OperatorPtr {
     auto scan =
         std::make_unique<engine::VectorScan>(KeyedSchema(), input);
-    auto agg = engine::ShardedPartitionedWindowAggregate::Make(
-        engine::Instrument(std::move(scan), "scan", registry), "k", "x",
-        "agg", sopts);
+    auto agg = engine::WindowAggregate::Make(
+        engine::Instrument(std::move(scan), "scan", registry), "x", "agg",
+        wopts, "k");
     EXPECT_TRUE(agg.ok()) << agg.status().ToString();
     return engine::Instrument(std::move(*agg), "window", registry);
   };
@@ -392,13 +391,13 @@ TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
     ThreadPool pool(threads);
 
     auto uninstrumented = make_plan(nullptr);
-    auto rows_off = engine::ParallelCollect(*uninstrumented, pool);
+    auto rows_off = engine::ParallelBatchCollect(*uninstrumented, pool);
     ASSERT_TRUE(rows_off.ok()) << rows_off.status().ToString();
     EXPECT_EQ(WindowBytes(*rows_off), golden) << threads << " threads";
 
     obs::MetricRegistry registry;
     auto instrumented = make_plan(&registry);
-    auto rows_on = engine::ParallelCollect(*instrumented, pool);
+    auto rows_on = engine::ParallelBatchCollect(*instrumented, pool);
     ASSERT_TRUE(rows_on.ok()) << rows_on.status().ToString();
     EXPECT_EQ(WindowBytes(*rows_on), golden)
         << threads << " threads, metrics on";

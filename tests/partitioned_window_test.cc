@@ -1,14 +1,20 @@
-#include "src/engine/partitioned_window.h"
+#include "src/engine/window_aggregate.h"
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/learner.h"
 #include "src/engine/executor.h"
 #include "src/engine/scan.h"
+#include "src/engine/union_all.h"
 #include "src/query/parser.h"
 #include "src/query/planner.h"
 
@@ -40,9 +46,8 @@ TEST(PartitionedWindowTest, PerKeyWindows) {
       KeyedTuple("a", 30, 1, 50),
   };
   auto scan = std::make_unique<VectorScan>(KeyedSchema(), tuples);
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "road",
-                                              "delay", "avg_delay",
-                                              {.window_size = 2});
+  auto agg = WindowAggregate::Make(std::move(scan), "delay", "avg_delay",
+                                   {.window_size = 2}, "road");
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
   auto out = Collect(**agg);
   ASSERT_TRUE(out.ok());
@@ -73,8 +78,8 @@ TEST(PartitionedWindowTest, TumblingResetsPerKey) {
   WindowAggregateOptions opts;
   opts.window_size = 2;
   opts.kind = WindowKind::kTumbling;
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "road",
-                                              "delay", "avg", opts);
+  auto agg =
+      WindowAggregate::Make(std::move(scan), "delay", "avg", opts, "road");
   ASSERT_TRUE(agg.ok());
   auto out = Collect(**agg);
   ASSERT_TRUE(out.ok());
@@ -86,14 +91,14 @@ TEST(PartitionedWindowTest, TumblingResetsPerKey) {
 TEST(PartitionedWindowTest, RejectsBadColumns) {
   auto scan = std::make_unique<VectorScan>(KeyedSchema(),
                                            std::vector<Tuple>{});
-  EXPECT_TRUE(PartitionedWindowAggregate::Make(std::move(scan), "delay",
-                                               "delay", "o", {})
+  EXPECT_TRUE(WindowAggregate::Make(std::move(scan), "delay", "o", {},
+                                    "delay")
                   .status()
                   .IsTypeError());  // uncertain key
   auto scan2 = std::make_unique<VectorScan>(KeyedSchema(),
                                             std::vector<Tuple>{});
-  EXPECT_TRUE(PartitionedWindowAggregate::Make(std::move(scan2), "road",
-                                               "road", "o", {})
+  EXPECT_TRUE(WindowAggregate::Make(std::move(scan2), "road", "o", {},
+                                    "road")
                   .status()
                   .IsTypeError());  // string aggregate
 }
@@ -141,6 +146,97 @@ TEST(WindowCltTest, HistogramInputsViaClt) {
   EXPECT_NEAR(rv.Mean(), learned->distribution->Mean(), 1e-9);
   EXPECT_NEAR(rv.Variance(), learned->distribution->Variance() / 4.0,
               1e-9);
+}
+
+// Lemma 3 under repeated source sequences: UNION ALL of two scans whose
+// sequences both start at 0. Every emission's d.f. must be the minimum
+// over its window; a min-d.f. deque that evicted by source sequence
+// instead of by window position reported 7, 9, 9, 9 for outputs 2-5 of
+// the ungrouped case below, where the window minimum is 5, 5, 5, 7.
+using KeyedDf = std::pair<std::string, size_t>;
+
+OperatorPtr UnionOfScans(const std::vector<KeyedDf>& first,
+                         const std::vector<KeyedDf>& second) {
+  std::vector<OperatorPtr> children;
+  for (const auto* part : {&first, &second}) {
+    std::vector<Tuple> tuples;
+    for (const auto& [key, df] : *part) {
+      tuples.push_back(KeyedTuple(key, 1.0, 1.0, df));
+    }
+    children.push_back(
+        std::make_unique<VectorScan>(KeyedSchema(), std::move(tuples)));
+  }
+  auto u = UnionAll::Make(std::move(children));
+  EXPECT_TRUE(u.ok()) << u.status().ToString();
+  return std::move(*u);
+}
+
+// The d.f. of every emission of per-key sliding windows of `w` rows
+// (one window when `grouped` is false), by brute force.
+std::vector<size_t> BruteForceMinDf(const std::vector<KeyedDf>& input,
+                                    size_t w, bool grouped) {
+  std::map<std::string, std::vector<size_t>> windows;
+  std::vector<size_t> out;
+  for (const auto& [key, df] : input) {
+    std::vector<size_t>& window = windows[grouped ? key : ""];
+    window.push_back(df);
+    if (window.size() > w) window.erase(window.begin());
+    if (window.size() == w) {
+      out.push_back(*std::min_element(window.begin(), window.end()));
+    }
+  }
+  return out;
+}
+
+std::vector<size_t> EmittedDf(const std::vector<Tuple>& rows,
+                              size_t agg_column) {
+  std::vector<size_t> dfs;
+  for (const Tuple& t : rows) {
+    dfs.push_back(t.value(agg_column).random_var()->sample_size());
+  }
+  return dfs;
+}
+
+TEST(WindowMinDfTest, RepeatedSequencesUngrouped) {
+  const std::vector<KeyedDf> first = {{"a", 10}, {"a", 10}, {"a", 10}};
+  const std::vector<KeyedDf> second = {{"a", 10}, {"a", 5}, {"a", 7},
+                                       {"a", 9},  {"a", 9}, {"a", 9}};
+  std::vector<KeyedDf> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  const std::vector<size_t> expected = BruteForceMinDf(all, 4, false);
+  ASSERT_EQ(expected, (std::vector<size_t>{10, 5, 5, 5, 5, 7}));
+
+  for (bool batched : {false, true}) {
+    auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
+                                     "avg", {.window_size = 4});
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    auto out = batched ? BatchCollect(**agg) : Collect(**agg);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(EmittedDf(*out, 0), expected) << "batched " << batched;
+  }
+}
+
+TEST(WindowMinDfTest, RepeatedSequencesGrouped) {
+  const std::vector<KeyedDf> first = {{"a", 10}, {"b", 3}, {"a", 10},
+                                      {"a", 10}};
+  const std::vector<KeyedDf> second = {{"a", 10}, {"b", 8}, {"a", 5},
+                                       {"a", 7},  {"b", 6}, {"a", 9},
+                                       {"a", 9},  {"b", 4}, {"a", 9}};
+  std::vector<KeyedDf> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  const std::vector<size_t> expected = BruteForceMinDf(all, 4, true);
+  ASSERT_EQ(expected, (std::vector<size_t>{10, 5, 5, 5, 5, 3, 7}));
+
+  for (size_t threads : {0u, 1u, 4u}) {
+    auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
+                                     "avg", {.window_size = 4}, "road");
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    auto out = pool ? ParallelBatchCollect(**agg, *pool) : Collect(**agg);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(EmittedDf(*out, 1), expected) << threads << " threads";
+  }
 }
 
 TEST(GroupByQueryTest, EndToEndSql) {

@@ -20,7 +20,7 @@
 #include "src/engine/filter.h"
 #include "src/engine/project.h"
 #include "src/engine/recovery_manager.h"
-#include "src/engine/sharded_partitioned_window.h"
+#include "src/engine/window_aggregate.h"
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -311,7 +311,7 @@ TEST(ReplayableSourceTest, CsvSourceSeeksByRow) {
 // The crash-point sweep
 //
 // Pipeline under test: replayable keyed Gaussian source
-//   -> ShardedPartitionedWindowAggregate (stateful, mid-batch queue)
+//   -> grouped WindowAggregate           (stateful)
 //   -> Filter key != "k1"                (stateless)
 //   -> Project (key, avg)                (stateless)
 // The consumer (this test) survives crashes — like a downstream system
@@ -321,8 +321,6 @@ TEST(ReplayableSourceTest, CsvSourceSeeksByRow) {
 struct SweepConfig {
   size_t count = 120;
   size_t window = 5;
-  size_t shards = 3;
-  size_t batch = 16;
   size_t checkpoint_every = 16;  // delivered outputs between checkpoints
 
   /// Wrap the source in AsyncPrefetchReplayableSource: the crash sweep
@@ -385,18 +383,16 @@ Status RunLifetime(const SweepConfig& cfg, const std::string& dir,
   }
   ReplayableSource* source = source_owned.get();
 
-  ShardedWindowOptions wopts;
-  wopts.window.window_size = cfg.window;
-  wopts.num_shards = cfg.shards;
-  wopts.batch_size = cfg.batch;
+  WindowAggregateOptions wopts;
+  wopts.window_size = cfg.window;
   AUSDB_ASSIGN_OR_RETURN(
-      auto spwagg_owned,
-      ShardedPartitionedWindowAggregate::Make(
-          std::move(source_owned), "key", "value", "avg", wopts));
-  ShardedPartitionedWindowAggregate* spwagg = spwagg_owned.get();
+      auto wagg_owned,
+      WindowAggregate::Make(std::move(source_owned), "value", "avg", wopts,
+                            "key"));
+  WindowAggregate* wagg = wagg_owned.get();
 
   auto filter = std::make_unique<Filter>(
-      std::move(spwagg_owned),
+      std::move(wagg_owned),
       expr::Cmp(expr::CmpOp::kNe, expr::Col("key"),
                 expr::Lit(std::string("k1"))));
   std::vector<ProjectionItem> items;
@@ -412,7 +408,7 @@ Status RunLifetime(const SweepConfig& cfg, const std::string& dir,
   ropts.trace = cfg.trace;
   RecoveryManager manager(dir, ropts);
   AUSDB_RETURN_NOT_OK(manager.RegisterSource("source", source));
-  AUSDB_RETURN_NOT_OK(manager.RegisterOperator("spwagg", spwagg));
+  AUSDB_RETURN_NOT_OK(manager.RegisterOperator("wagg", wagg));
 
   // The pull loop runs in a lambda so the prefetcher's ring backlog can
   // be observed after a simulated crash, before the pipeline (and its

@@ -10,7 +10,6 @@
 #include "src/common/fault_injector.h"
 #include "src/engine/accuracy_annotator.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/window_aggregate.h"
 #include "src/serde/json_writer.h"
 #include "src/stream/sources.h"
@@ -76,8 +75,8 @@ TEST(SoakTest, ManyPartitionsStayIndependent) {
     }
   }
   auto scan = std::make_unique<VectorScan>(schema, std::move(tuples));
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "key", "x",
-                                              "avg", {.window_size = 8});
+  auto agg = WindowAggregate::Make(std::move(scan), "x", "avg",
+                                   {.window_size = 8}, "key");
   ASSERT_TRUE(agg.ok());
   size_t count = 0;
   for (;;) {

@@ -18,7 +18,6 @@
 #include "src/common/math_util.h"
 #include "src/dist/learner.h"
 #include "src/engine/executor.h"
-#include "src/engine/partitioned_window.h"
 #include "src/engine/scan.h"
 #include "src/engine/window_aggregate.h"
 #include "src/serde/checkpoint.h"
@@ -117,8 +116,8 @@ TEST(WindowDriftTest, PartitionedSumMatchesFreshRecomputePerKey) {
   WindowAggregateOptions opts;
   opts.window_size = kWindow;
   opts.fn = WindowAggFn::kSum;
-  auto agg = PartitionedWindowAggregate::Make(
-      std::make_unique<StreamScan>(std::move(scan)), "k", "x", "sum", opts);
+  auto agg = WindowAggregate::Make(
+      std::make_unique<StreamScan>(std::move(scan)), "x", "sum", opts, "k");
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
 
   double last_even = 0.0, last_odd = 0.0;
@@ -177,83 +176,29 @@ TEST(WindowDriftTest, NaiveEvictSubtractFailsOnThisSequence) {
   EXPECT_LT(worst_kahan, 1e-9);   // measured ~3e-13
 }
 
-TEST(WindowDriftTest, RestoresLegacyV1Checkpoint) {
-  // v1 blobs carried plain sums and no compensation terms; they must
-  // still restore (with zero compensation) under the v2 code.
-  serde::CheckpointWriter w;
-  w.Token("wagg.v1");
-  w.Uint(static_cast<uint64_t>(WindowKind::kSliding));
-  w.Uint(static_cast<uint64_t>(WindowAggFn::kSum));
-  w.Uint(2);           // window_size
-  w.Double(3.0);       // sum_mean (1 + 2)
-  w.Double(0.0);       // sum_variance
-  w.Uint(2);           // entries
-  const uint64_t n = dist::RandomVar::kCertainSampleSize;
-  w.Double(1.0); w.Double(0.0); w.Uint(n); w.Uint(0);
-  w.Double(2.0); w.Double(0.0); w.Uint(n); w.Uint(1);
-  const std::string blob = std::move(w).Finish();
-
-  std::vector<Tuple> tuples = {Tuple({expr::Value(4.0)})};
-  auto scan = std::make_unique<VectorScan>(DoubleSchema(), tuples);
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.fn = WindowAggFn::kSum;
-  auto agg = WindowAggregate::Make(std::move(scan), "x", "sum", opts);
-  ASSERT_TRUE(agg.ok());
-  ASSERT_TRUE((*agg)->RestoreCheckpoint(blob).ok());
-
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->size(), 1u);
-  // Window slides: push 4, evict 1 -> 3 + 4 - 1 = 6.
-  EXPECT_DOUBLE_EQ((*out)[0].value(0).random_var()->Mean(), 6.0);
-}
-
-TEST(WindowDriftTest, RestoresLegacyPartitionedV1Checkpoint) {
-  serde::CheckpointWriter w;
-  w.Token("pwagg.v1");
-  w.Uint(static_cast<uint64_t>(WindowKind::kSliding));
-  w.Uint(static_cast<uint64_t>(WindowAggFn::kSum));
-  w.Uint(2);           // window_size
-  w.Uint(1);           // one partition
-  w.Bytes("k");
-  w.Double(3.0);       // sum_mean
-  w.Double(0.0);       // sum_variance
-  w.Uint(2);           // entries
-  const uint64_t n = dist::RandomVar::kCertainSampleSize;
-  w.Double(1.0); w.Double(0.0); w.Uint(n);
-  w.Double(2.0); w.Double(0.0); w.Uint(n);
-  const std::string blob = std::move(w).Finish();
-
-  Schema schema;
-  ASSERT_TRUE(schema.AddField({"k", FieldType::kString}).ok());
-  ASSERT_TRUE(schema.AddField({"x", FieldType::kDouble}).ok());
-  std::vector<Tuple> tuples = {
-      Tuple({expr::Value(std::string("k")), expr::Value(4.0)})};
-  auto scan = std::make_unique<VectorScan>(schema, tuples);
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.fn = WindowAggFn::kSum;
-  auto agg = PartitionedWindowAggregate::Make(std::move(scan), "k", "x",
-                                              "sum", opts);
-  ASSERT_TRUE(agg.ok());
-  ASSERT_TRUE((*agg)->RestoreCheckpoint(blob).ok());
-
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->size(), 1u);
-  EXPECT_DOUBLE_EQ((*out)[0].value(1).random_var()->Mean(), 6.0);
-}
-
 TEST(WindowDriftTest, RejectsUnknownCheckpointVersion) {
-  serde::CheckpointWriter w;
-  w.Token("wagg.v99");
-  const std::string blob = std::move(w).Finish();
-  std::vector<Tuple> tuples;
-  auto scan = std::make_unique<VectorScan>(DoubleSchema(), tuples);
-  auto agg = WindowAggregate::Make(std::move(scan), "x", "sum", {});
-  ASSERT_TRUE(agg.ok());
-  EXPECT_TRUE((*agg)->RestoreCheckpoint(blob).IsCorruption());
+  // wagg.v5 is the one checkpoint format; retired versions of the window
+  // operators and unknown ones are all refused as corrupt.
+  Schema keyed;
+  ASSERT_TRUE(keyed.AddField({"k", FieldType::kString}).ok());
+  ASSERT_TRUE(keyed.AddField({"x", FieldType::kDouble}).ok());
+  for (const char* version :
+       {"wagg.v99", "wagg.v4", "wagg.v1", "pwagg.v4", "spwagg.v2"}) {
+    serde::CheckpointWriter w;
+    w.Token(version);
+    const std::string blob = std::move(w).Finish();
+    auto agg = WindowAggregate::Make(
+        std::make_unique<VectorScan>(DoubleSchema(), std::vector<Tuple>{}),
+        "x", "sum", {});
+    ASSERT_TRUE(agg.ok());
+    EXPECT_TRUE((*agg)->RestoreCheckpoint(blob).IsCorruption()) << version;
+    auto grouped = WindowAggregate::Make(
+        std::make_unique<VectorScan>(keyed, std::vector<Tuple>{}), "x",
+        "sum", {}, "k");
+    ASSERT_TRUE(grouped.ok());
+    EXPECT_TRUE((*grouped)->RestoreCheckpoint(blob).IsCorruption())
+        << version;
+  }
 }
 
 }  // namespace
