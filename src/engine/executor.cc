@@ -24,12 +24,6 @@ class ScopedPoolBinding {
 
 }  // namespace
 
-Result<std::vector<Tuple>> ParallelCollect(Operator& root,
-                                           ThreadPool& pool) {
-  ScopedPoolBinding binding(root, pool);
-  return Collect(root);
-}
-
 size_t DeterministicBatchSize(const Operator& plan) {
   // ~4096 values per batch keeps a morsel inside L2 for typical tuple
   // widths; the clamp bounds dispatch amortization (lower) and batch
@@ -70,11 +64,6 @@ Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
 Result<size_t> ParallelBatchDrain(Operator& root, ThreadPool& pool) {
   ScopedPoolBinding binding(root, pool);
   return BatchDrain(root);
-}
-
-Result<size_t> ParallelDrain(Operator& root, ThreadPool& pool) {
-  ScopedPoolBinding binding(root, pool);
-  return Drain(root);
 }
 
 Result<std::vector<Tuple>> Collect(Operator& root) {
@@ -118,20 +107,6 @@ Result<std::vector<Tuple>> CollectWithCheckpoints(Operator& root,
     if (!t.has_value()) return out;
     out.push_back(std::move(*t));
     AUSDB_RETURN_NOT_OK(MaybeCheckpoint(root, every_n, out.size(), sink));
-  }
-}
-
-Result<size_t> DrainWithCheckpoints(Operator& root, size_t every_n,
-                                    CheckpointSink& sink) {
-  if (every_n == 0) {
-    return Status::InvalidArgument("checkpoint interval must be >= 1");
-  }
-  size_t count = 0;
-  for (;;) {
-    AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
-    if (!t.has_value()) return count;
-    ++count;
-    AUSDB_RETURN_NOT_OK(MaybeCheckpoint(root, every_n, count, sink));
   }
 }
 

@@ -49,18 +49,6 @@ Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
 /// \brief Drain variant of ParallelBatchCollect.
 Result<size_t> ParallelBatchDrain(Operator& root, ThreadPool& pool);
 
-/// \brief Collect with `pool` bound to the plan for the duration of the
-/// drain. Next() pulls one tuple at a time, which leaves a grouped
-/// WindowAggregate nothing to fan out: no operator uses the pool inside
-/// Next(), so this runs serially. Drive a plan through
-/// ParallelBatchCollect to fan its windows out. The result is
-/// bit-identical to plain Collect at any pool size. The binding is
-/// removed before returning.
-Result<std::vector<Tuple>> ParallelCollect(Operator& root, ThreadPool& pool);
-
-/// \brief Drain variant of ParallelCollect.
-Result<size_t> ParallelDrain(Operator& root, ThreadPool& pool);
-
 /// \brief Destination of periodic operator checkpoints: a durable store
 /// in production (file, replicated log), an in-memory slot in tests.
 class CheckpointSink {
@@ -101,10 +89,6 @@ class InMemoryCheckpointSink final : public CheckpointSink {
 Result<std::vector<Tuple>> CollectWithCheckpoints(Operator& root,
                                                   size_t every_n,
                                                   CheckpointSink& sink);
-
-/// \brief Drain variant of CollectWithCheckpoints.
-Result<size_t> DrainWithCheckpoints(Operator& root, size_t every_n,
-                                    CheckpointSink& sink);
 
 }  // namespace engine
 }  // namespace ausdb

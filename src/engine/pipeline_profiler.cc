@@ -8,8 +8,52 @@ namespace ausdb {
 namespace engine {
 
 size_t PipelineProfile::AddOperator(std::string name) {
+  MirrorSeries series;
+  if (mirror_ != nullptr) {
+    const std::vector<obs::Label> labels = {{"operator", name}};
+    series.tuples = mirror_->GetCounter("ausdb_engine_tuples_total", labels,
+                                        "Tuples emitted by the operator.");
+    series.calls =
+        mirror_->GetCounter("ausdb_engine_next_calls_total", labels,
+                            "Next() pulls issued to the operator.");
+    series.errors =
+        mirror_->GetCounter("ausdb_engine_next_errors_total", labels,
+                            "Next() pulls that returned a failure Status.");
+    series.latency = mirror_->GetHistogram(
+        "ausdb_engine_next_latency_seconds", labels,
+        obs::DefaultLatencySecondsBoundaries(),
+        "Wall-clock latency of one Next() pull, in seconds.");
+  }
+  series_.push_back(series);
   slots_.push_back(OperatorProfile{std::move(name)});
   return slots_.size() - 1;
+}
+
+void PipelineProfile::RecordPull(size_t index, bool batch, bool ok,
+                                 uint64_t tuples,
+                                 std::optional<uint64_t> sampled_nanos) {
+  OperatorProfile& s = slots_[index];
+  ++(batch ? s.batch_calls : s.next_calls);
+  if (ok) {
+    s.tuples += tuples;
+  } else {
+    ++s.errors;
+  }
+  if (sampled_nanos.has_value()) {
+    s.sampled_nanos += *sampled_nanos;
+    ++s.latency_samples;
+  }
+  const MirrorSeries& m = series_[index];
+  if (m.calls == nullptr) return;
+  m.calls->Increment();
+  if (ok) {
+    m.tuples->Increment(tuples);
+  } else {
+    m.errors->Increment();
+  }
+  if (sampled_nanos.has_value()) {
+    m.latency->Record(obs::NanosToSeconds(*sampled_nanos));
+  }
 }
 
 std::string PipelineProfile::CountersJson() const {
@@ -68,60 +112,41 @@ std::string PipelineProfile::LatencyAnnexString() const {
 
 ProfiledOperator::ProfiledOperator(OperatorPtr child,
                                    PipelineProfile* profile, size_t slot,
-                                   const obs::Clock* clock,
-                                   uint32_t latency_sample_period)
-    : child_(std::move(child)),
-      profile_(profile),
-      slot_(slot),
-      clock_(clock),
-      latency_sample_period_(
-          latency_sample_period == 0 ? 1 : latency_sample_period) {}
+                                   const obs::Clock* clock)
+    : child_(std::move(child)), profile_(profile), slot_(slot),
+      clock_(clock) {}
 
 Result<std::optional<Tuple>> ProfiledOperator::Next() {
-  OperatorProfile& s = profile_->slot(slot_);
-  ++s.next_calls;
-  const bool sample =
-      clock_ != nullptr && (call_index_++ % latency_sample_period_) == 0;
+  // Next() follows the single-puller volcano contract, so the sample
+  // index is a plain member.
+  const bool sample = SampleThisPull();
   const uint64_t start = sample ? clock_->NowNanos() : 0;
   Result<std::optional<Tuple>> result = child_->Next();
-  if (sample) {
-    s.sampled_nanos += clock_->NowNanos() - start;
-    ++s.latency_samples;
-  }
-  if (!result.ok()) {
-    ++s.errors;
-  } else if (result.ValueOrDie().has_value()) {
-    ++s.tuples;
-  }
+  std::optional<uint64_t> nanos;
+  if (sample) nanos = clock_->NowNanos() - start;
+  const bool emitted = result.ok() && result.ValueOrDie().has_value();
+  profile_->RecordPull(slot_, /*batch=*/false, result.ok(), emitted ? 1 : 0,
+                       nanos);
   return result;
 }
 
 Status ProfiledOperator::NextBatch(size_t max_n, TupleBatch& out) {
-  OperatorProfile& s = profile_->slot(slot_);
-  ++s.batch_calls;
-  const bool sample =
-      clock_ != nullptr && (call_index_++ % latency_sample_period_) == 0;
+  const bool sample = SampleThisPull();
   const uint64_t start = sample ? clock_->NowNanos() : 0;
   const Status status = child_->NextBatch(max_n, out);
-  if (sample) {
-    s.sampled_nanos += clock_->NowNanos() - start;
-    ++s.latency_samples;
-  }
-  if (!status.ok()) {
-    ++s.errors;
-  } else {
-    s.tuples += out.size();
-  }
+  std::optional<uint64_t> nanos;
+  if (sample) nanos = clock_->NowNanos() - start;
+  profile_->RecordPull(slot_, /*batch=*/true, status.ok(), out.size(),
+                       nanos);
   return status;
 }
 
 OperatorPtr Profile(OperatorPtr child, const std::string& op_name,
-                    PipelineProfile* profile, const obs::Clock* clock,
-                    uint32_t latency_sample_period) {
+                    PipelineProfile* profile, const obs::Clock* clock) {
   if (profile == nullptr) return child;
   const size_t slot = profile->AddOperator(op_name);
   return std::make_unique<ProfiledOperator>(std::move(child), profile, slot,
-                                            clock, latency_sample_period);
+                                            clock);
 }
 
 }  // namespace engine

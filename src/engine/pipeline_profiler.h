@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/engine/operator.h"
 #include "src/obs/clock.h"
+#include "src/obs/metrics.h"
 
 namespace ausdb {
 namespace engine {
@@ -23,8 +25,8 @@ namespace engine {
 ///
 /// The latency fields are the clearly-separated non-deterministic
 /// annex: wall-clock samples on the injected obs::Clock, taken once
-/// every `latency_sample_period` pulls. They never appear in
-/// CountersJson()/ReportString(); LatencyAnnexString() renders them
+/// every ProfiledOperator::kLatencySamplePeriod pulls. They never appear
+/// in CountersJson()/ReportString(); LatencyAnnexString() renders them
 /// behind an explicit "non-deterministic" banner.
 struct OperatorProfile {
   std::string name;
@@ -43,17 +45,37 @@ struct OperatorProfile {
 /// planner builds the chain, so slot i's input is slot i-1's output and
 /// per-stage selectivity is tuples[i] / tuples[i-1].
 ///
+/// A profile built over a MetricRegistry also mirrors every slot into
+/// the process-wide series, labelled `{operator=<slot name>}`:
+///  - `ausdb_engine_tuples_total` — tuples emitted,
+///  - `ausdb_engine_next_calls_total` — pull attempts, scalar and batch
+///    together,
+///  - `ausdb_engine_next_errors_total` — failed pulls,
+///  - `ausdb_engine_next_latency_seconds` — the sampled pull latency,
+///    recorded only when the wrapper has a clock.
+/// The mirror is write-only like the slots: nothing on the data path
+/// reads a metric back, so mirroring cannot change delivered output.
+///
 /// Not thread-safe by design: the Volcano pull loop drives the whole
 /// operator chain from the single consumer thread (intra-operator
 /// parallelism lives *below* the operator API), so plain counters
 /// suffice and the profiled hot path stays a handful of increments.
 class PipelineProfile {
  public:
+  /// `mirror`, when non-null, must outlive the profile.
+  explicit PipelineProfile(obs::MetricRegistry* mirror = nullptr)
+      : mirror_(mirror) {}
+
   /// Registers one operator slot; returns its index. Call in
   /// bottom-up (leaf to root) pipeline order.
   size_t AddOperator(std::string name);
 
-  OperatorProfile& slot(size_t index) { return slots_[index]; }
+  /// Accounts one pull of slot `index`: a scalar or batch attempt that
+  /// failed (`ok` false) or emitted `tuples`, timed when
+  /// `sampled_nanos` is set.
+  void RecordPull(size_t index, bool batch, bool ok, uint64_t tuples,
+                  std::optional<uint64_t> sampled_nanos);
+
   const std::vector<OperatorProfile>& operators() const { return slots_; }
 
   /// \brief Byte-deterministic JSON of the deterministic counters only:
@@ -73,28 +95,42 @@ class PipelineProfile {
   std::string LatencyAnnexString() const;
 
  private:
+  /// One slot's registry series; all null when the profile has no
+  /// mirror.
+  struct MirrorSeries {
+    obs::Counter* tuples = nullptr;
+    obs::Counter* calls = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Histogram* latency = nullptr;
+  };
+
+  obs::MetricRegistry* const mirror_;
   std::vector<OperatorProfile> slots_;
+  std::vector<MirrorSeries> series_;
 };
 
-/// \brief The EXPLAIN ANALYZE operator wrapper: forwards the child's
-/// outcome bit-for-bit (tuples, errors, end-of-stream, checkpoints)
-/// while accumulating its slot in a PipelineProfile. The sibling of
-/// InstrumentedOperator with a per-query accumulator instead of a
-/// process-wide registry — the two compose (a plan can be both
-/// instrumented and profiled) because both are write-only wrappers.
+/// \brief The one observability wrapper: forwards the child's outcome
+/// bit-for-bit (tuples, errors, end-of-stream, checkpoints) while
+/// accounting each pull in its PipelineProfile slot — and, through the
+/// profile's mirror, in the MetricRegistry.
+///
+/// Checkpoint/Reset/Close/BindThreadPool forward transparently, so a
+/// wrapped stateful operator still checkpoints. The wrapper is not a
+/// ReplayableSource; wrap above sources, not in place of them, when
+/// recovery is in play.
 class ProfiledOperator final : public Operator {
  public:
-  /// Latency is sampled once every this many pulls by default — same
-  /// budget reasoning as InstrumentedOperator.
-  static constexpr uint32_t kDefaultLatencySamplePeriod = 16;
+  /// One pull in every this many is timed (the first always is); the
+  /// counters stay exact. Two clock reads per pull cost ~15-20% on a hot
+  /// pipeline; sampling keeps the wrapper inside the 5% overhead budget
+  /// that bench_profile_overhead enforces.
+  static constexpr uint32_t kLatencySamplePeriod = 16;
 
   /// `profile` must outlive the operator; `slot` is the index returned
-  /// by PipelineProfile::AddOperator. A null `clock` disables the
-  /// latency annex entirely (counters still accumulate).
+  /// by PipelineProfile::AddOperator. A null `clock` disables latency
+  /// sampling entirely (counters still accumulate).
   ProfiledOperator(OperatorPtr child, PipelineProfile* profile, size_t slot,
-                   const obs::Clock* clock = nullptr,
-                   uint32_t latency_sample_period =
-                       kDefaultLatencySamplePeriod);
+                   const obs::Clock* clock = nullptr);
 
   const Schema& schema() const override { return child_->schema(); }
   Result<std::optional<Tuple>> Next() override;
@@ -114,11 +150,15 @@ class ProfiledOperator final : public Operator {
   }
 
  private:
+  /// True when this pull is one of the sampled ones.
+  bool SampleThisPull() {
+    return clock_ != nullptr && call_index_++ % kLatencySamplePeriod == 0;
+  }
+
   OperatorPtr child_;
   PipelineProfile* profile_;
   const size_t slot_;
   const obs::Clock* clock_;
-  const uint32_t latency_sample_period_;
   uint64_t call_index_ = 0;
 };
 
@@ -127,9 +167,7 @@ class ProfiledOperator final : public Operator {
 /// object) when profiling is off.
 OperatorPtr Profile(OperatorPtr child, const std::string& op_name,
                     PipelineProfile* profile,
-                    const obs::Clock* clock = nullptr,
-                    uint32_t latency_sample_period =
-                        ProfiledOperator::kDefaultLatencySamplePeriod);
+                    const obs::Clock* clock = nullptr);
 
 }  // namespace engine
 }  // namespace ausdb

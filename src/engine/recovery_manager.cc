@@ -111,7 +111,6 @@ Result<std::string> RecoveryManager::EncodeManifest(
 }
 
 Result<uint64_t> RecoveryManager::Checkpoint(uint64_t outputs_delivered) {
-  obs::ScopedSpan span(options_.trace, options_.clock, "recovery/checkpoint");
   const uint64_t start_nanos =
       m_checkpoint_seconds_ ? options_.clock->NowNanos() : 0;
   AUSDB_ASSIGN_OR_RETURN(std::string manifest,
@@ -195,7 +194,6 @@ Status RecoveryManager::ApplyManifest(std::string_view payload,
 
 Result<std::optional<RecoveryManager::RecoveredState>>
 RecoveryManager::Restore() {
-  obs::ScopedSpan span(options_.trace, options_.clock, "recovery/restore");
   const uint64_t start_nanos =
       m_restore_seconds_ ? options_.clock->NowNanos() : 0;
   std::vector<uint64_t> generations = storage_.ListGenerations();

@@ -11,7 +11,6 @@
 #include "src/obs/clock.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/serde/checkpoint_file.h"
 
 namespace ausdb {
@@ -31,9 +30,6 @@ struct RecoveryManagerOptions {
   /// metric. The registry and clock must outlive the manager.
   obs::MetricRegistry* metrics = nullptr;
   const obs::Clock* clock = obs::SteadyClock::Instance();
-
-  /// When non-null, Checkpoint() and Restore() record spans here.
-  obs::TraceBuffer* trace = nullptr;
 
   /// When non-null, each successful Checkpoint() (kCheckpoint) and
   /// Restore() (kRestore) is journaled with the checkpoint generation

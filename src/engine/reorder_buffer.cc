@@ -268,12 +268,11 @@ Status ReorderBuffer::Reset() {
 
 Result<std::string> ReorderBuffer::SaveCheckpoint() const {
   serde::CheckpointWriter w;
-  // Ungoverned buffers keep writing the legacy "rob.v1" record
-  // byte-for-byte; a bound ladder adds the governed horizon floor,
-  // without which a restore would replay release decisions at the full
-  // horizon and diverge.
-  const bool governed = options_.ladder != nullptr;
-  w.Token(governed ? "rob.v2" : "rob.v1");
+  // The governed horizon floor is part of the record: without it a
+  // restore would replay release decisions at the full horizon and
+  // diverge. An ungoverned buffer never raises it, so it writes no
+  // floor (0, 0.0) and no early releases.
+  w.Token("rob.v2");
   w.Double(watermark_.max_timestamp());
   w.Uint(exhausted_ ? 1 : 0);
   w.Uint(stats_.admitted);
@@ -281,11 +280,9 @@ Result<std::string> ReorderBuffer::SaveCheckpoint() const {
   w.Uint(stats_.shed);
   w.Uint(stats_.forced_releases);
   w.Uint(stats_.duplicates);
-  if (governed) {
-    w.Uint(stats_.early_releases);
-    w.Uint(has_horizon_floor_ ? 1 : 0);
-    w.Double(has_horizon_floor_ ? horizon_floor_ : 0.0);
-  }
+  w.Uint(stats_.early_releases);
+  w.Uint(has_horizon_floor_ ? 1 : 0);
+  w.Double(has_horizon_floor_ ? horizon_floor_ : 0.0);
   w.Uint(buffer_.size());
   for (const Held& held : buffer_) {
     AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, held.tuple));
@@ -305,10 +302,9 @@ Result<std::string> ReorderBuffer::SaveCheckpoint() const {
 Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
   serde::CheckpointReader r(blob);
   AUSDB_ASSIGN_OR_RETURN(std::string_view tag, r.NextToken());
-  if (tag != "rob.v1" && tag != "rob.v2") {
+  if (tag != "rob.v2") {
     return Status::Corruption("unknown reorder-checkpoint tag");
   }
-  const bool governed_blob = tag == "rob.v2";
   AUSDB_ASSIGN_OR_RETURN(double max_ts, r.NextDouble());
   AUSDB_ASSIGN_OR_RETURN(uint64_t exhausted, r.NextUint());
   ReorderStats stats;
@@ -317,14 +313,10 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
   AUSDB_ASSIGN_OR_RETURN(stats.shed, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(stats.forced_releases, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(stats.duplicates, r.NextUint());
-  bool has_floor = false;
-  double floor = 0.0;
-  if (governed_blob) {
-    AUSDB_ASSIGN_OR_RETURN(stats.early_releases, r.NextUint());
-    AUSDB_ASSIGN_OR_RETURN(uint64_t has_floor_raw, r.NextUint());
-    has_floor = has_floor_raw != 0;
-    AUSDB_ASSIGN_OR_RETURN(floor, r.NextDouble());
-  }
+  AUSDB_ASSIGN_OR_RETURN(stats.early_releases, r.NextUint());
+  AUSDB_ASSIGN_OR_RETURN(uint64_t has_floor_raw, r.NextUint());
+  const bool has_floor = has_floor_raw != 0;
+  AUSDB_ASSIGN_OR_RETURN(double floor, r.NextDouble());
   // The smallest buffered tuple encodes the "tup" header plus counts:
   // >= 16 bytes with separators.
   AUSDB_ASSIGN_OR_RETURN(uint64_t buffered, r.NextCount(16));

@@ -120,10 +120,9 @@ class ReorderBuffer final : public Operator,
 
   /// Checkpoints the watermark state and every buffered (and released-
   /// but-undelivered) tuple — checkpoint v4's new surface — so a crash
-  /// mid-disorder restores bit-identically. Format token "rob.v1";
-  /// governed buffers (a ladder is bound) write "rob.v2", which adds
-  /// the governed horizon floor — restoring a governed buffer at full
-  /// horizon would change release decisions. Restore accepts both.
+  /// mid-disorder restores bit-identically. One format, token "rob.v2",
+  /// which carries the governed horizon floor — restoring a governed
+  /// buffer at full horizon would change release decisions.
   Result<std::string> SaveCheckpoint() const override;
   Status RestoreCheckpoint(std::string_view blob) override;
 

@@ -51,8 +51,8 @@ struct EventRecord {
 };
 
 /// \brief Fixed-capacity structured event ring — the flight recorder of
-/// accuracy decisions, sibling of TraceBuffer (which records *spans* of
-/// wall time; this records *decisions* on logical time).
+/// accuracy decisions: it records *decisions* on logical time, never
+/// wall time.
 ///
 /// When full, the oldest event is overwritten and `dropped()` advances:
 /// overflow is loud, never silent. Thread-safe; Append is one short

@@ -26,8 +26,7 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
   const auto profiled = [&options](engine::OperatorPtr op,
                                    const char* name) {
     return engine::Profile(std::move(op), name, options.profiler.profile,
-                           options.profiler.clock,
-                           options.profiler.latency_sample_period);
+                           options.profiler.clock);
   };
   plan = profiled(std::move(plan), "source");
 

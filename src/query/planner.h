@@ -71,11 +71,10 @@ struct CostModelConfig {
 /// counts and selectivities come out of the run. A null `clock` keeps
 /// the profiled run free of wall-clock reads entirely (the
 /// deterministic default); a real clock adds the sampled latency annex.
+/// A profile built over a MetricRegistry mirrors every stage there too.
 struct ProfilerConfig {
   engine::PipelineProfile* profile = nullptr;
   const obs::Clock* clock = nullptr;
-  uint32_t latency_sample_period =
-      engine::ProfiledOperator::kDefaultLatencySamplePeriod;
 };
 
 /// Plan-construction knobs.

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/executor.h"
-#include "src/engine/instrumented_operator.h"
+#include "src/engine/pipeline_profiler.h"
 #include "src/engine/scan.h"
 #include "src/io/observation_loader.h"
 #include "src/obs/metrics.h"
@@ -93,7 +93,7 @@ class AsyncEquivalenceTest : public ::testing::Test {
 
   // The equivalence harness: one synchronous golden run, then per queue
   // depth one plain prefetched run and one fully instrumented run (queue
-  // metrics plus an InstrumentedOperator wrapper), bytes compared
+  // metrics plus a registry-mirrored profile wrapper), bytes compared
   // exactly — prefetching AND observability are both invisible in the
   // output.
   void ExpectEquivalent(const std::string& sql) {
@@ -104,9 +104,10 @@ class AsyncEquivalenceTest : public ::testing::Test {
       ASSERT_EQ(bytes, golden) << sql << " at queue depth " << depth;
 
       obs::MetricRegistry registry;
+      engine::PipelineProfile profile(&registry);
       const std::string instrumented = RunQueryBytes(
-          sql, engine::Instrument(AsyncScan(depth, &registry), "source",
-                                  &registry));
+          sql, engine::Profile(AsyncScan(depth, &registry), "source",
+                               &profile, obs::SteadyClock::Instance()));
       ASSERT_EQ(instrumented, golden)
           << sql << " at queue depth " << depth << " with metrics";
     }

@@ -13,8 +13,8 @@
 
 #include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
-#include "src/engine/instrumented_operator.h"
 #include "src/engine/limit.h"
+#include "src/engine/pipeline_profiler.h"
 #include "src/engine/scan.h"
 #include "src/engine/window_aggregate.h"
 #include "src/io/observation_loader.h"
@@ -57,7 +57,7 @@ std::string SerializeRows(const engine::Schema& schema,
 enum class Drive { kScalar, kBatch };
 
 // Runs `sql` over `scan`, pulling either tuple-at-a-time or through
-// NextBatch, optionally with a pool of `threads` bound, and serializes
+// NextBatch (with a pool of `threads` bound when non-zero), and serializes
 // every result surface into one byte string for exact comparison.
 std::string RunQueryBytes(const std::string& sql, engine::OperatorPtr scan,
                           Drive drive, size_t threads = 0) {
@@ -65,14 +65,10 @@ std::string RunQueryBytes(const std::string& sql, engine::OperatorPtr scan,
   EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
   if (!plan.ok()) return "<plan error>";
   Result<std::vector<engine::Tuple>> rows = [&] {
-    if (threads == 0) {
-      return drive == Drive::kBatch ? engine::BatchCollect(**plan)
-                                    : engine::Collect(**plan);
-    }
+    if (drive == Drive::kScalar) return engine::Collect(**plan);
+    if (threads == 0) return engine::BatchCollect(**plan);
     ThreadPool pool(threads);
-    return drive == Drive::kBatch
-               ? engine::ParallelBatchCollect(**plan, pool)
-               : engine::ParallelCollect(**plan, pool);
+    return engine::ParallelBatchCollect(**plan, pool);
   }();
   EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
   if (!rows.ok()) return "<exec error>";
@@ -125,10 +121,11 @@ class BatchEquivalenceTest : public ::testing::Test {
           << sql << " batched at queue depth " << depth;
     }
     obs::MetricRegistry registry;
-    ASSERT_EQ(RunQueryBytes(
-                  sql,
-                  engine::Instrument(SyncScan(), "source", &registry),
-                  Drive::kBatch),
+    engine::PipelineProfile profile(&registry);
+    ASSERT_EQ(RunQueryBytes(sql,
+                            engine::Profile(SyncScan(), "source", &profile,
+                                            obs::SteadyClock::Instance()),
+                            Drive::kBatch),
               golden)
         << sql << " batched with metrics";
   }

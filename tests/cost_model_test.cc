@@ -381,19 +381,14 @@ TargetedRun RunTargetedPlan(size_t tuple_count, size_t threads,
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
 
   TargetedRun run;
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    auto out = engine::ParallelCollect(**plan, pool);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    for (const Tuple& t : *out) {
-      run.output.push_back(serde::ToJson(t, (*plan)->schema()));
-    }
-  } else {
-    auto out = Collect(**plan);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    for (const Tuple& t : *out) {
-      run.output.push_back(serde::ToJson(t, (*plan)->schema()));
-    }
+  // No operator takes work from a pool inside Next(): the idle pool of
+  // `threads` workers runs alongside the scalar drain and must not move
+  // a byte of it.
+  ThreadPool pool(threads);
+  auto out = Collect(**plan);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  for (const Tuple& t : *out) {
+    run.output.push_back(serde::ToJson(t, (*plan)->schema()));
   }
   run.decision_log = chooser->DecisionLogString();
   return run;

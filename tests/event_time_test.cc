@@ -443,6 +443,19 @@ TEST(ReorderBufferTest, CheckpointRoundTripMidDisorder) {
                           disordered.end());
   auto rb2 = ReorderBuffer::Make(Scan(std::move(rest)), "ts", opts);
   ASSERT_TRUE(rb2.ok());
+
+  // One format: a record in the retired ungoverned layout ("rob.v1",
+  // no early releases, no horizon floor) is refused before anything is
+  // restored.
+  serde::CheckpointWriter v1;
+  v1.Token("rob.v1");
+  v1.Double(0.0);  // max timestamp
+  for (int i = 0; i < 6; ++i) v1.Uint(0);  // exhausted + five stats
+  for (int i = 0; i < 3; ++i) v1.Uint(0);  // buffered, ready, seen
+  const Status v1_status =
+      (*rb2)->RestoreCheckpoint(std::move(v1).Finish());
+  EXPECT_TRUE(v1_status.IsCorruption()) << v1_status.ToString();
+
   ASSERT_TRUE((*rb2)->RestoreCheckpoint(*blob).ok());
   auto tail = Collect(**rb2);
   ASSERT_TRUE(tail.ok());

@@ -16,7 +16,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
-#include "src/engine/instrumented_operator.h"
 #include "src/engine/pipeline_profiler.h"
 #include "src/engine/scan.h"
 #include "src/engine/window_aggregate.h"
@@ -50,6 +49,16 @@ std::string SensorCsv() {
   return csv.str();
 }
 
+std::string SerializeRows(const std::vector<engine::Tuple>& rows,
+                          const engine::Schema& schema) {
+  std::ostringstream out;
+  for (const auto& t : rows) {
+    out << serde::ToJson(t, schema) << "\n";
+    out << "seq=" << t.sequence() << "\n";
+  }
+  return out.str();
+}
+
 std::string RunQueryBytes(const std::string& sql,
                           engine::OperatorPtr scan) {
   auto plan = query::PlanQuery(sql, std::move(scan));
@@ -58,12 +67,20 @@ std::string RunQueryBytes(const std::string& sql,
   auto rows = engine::Collect(**plan);
   EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
   if (!rows.ok()) return "<exec error>";
-  std::ostringstream out;
-  for (const auto& t : *rows) {
-    out << serde::ToJson(t, (*plan)->schema()) << "\n";
-    out << "seq=" << t.sequence() << "\n";
+  return SerializeRows(*rows, (*plan)->schema());
+}
+
+/// The mirrored counter `name` of the operator labelled `op`; 0 when the
+/// series is absent.
+uint64_t MirroredCount(const obs::MetricsSnapshot& snap,
+                       const std::string& name, const std::string& op) {
+  for (const auto& c : snap.counters) {
+    if (c.key.name != name) continue;
+    for (const auto& l : c.key.labels) {
+      if (l.key == "operator" && l.value == op) return c.value;
+    }
   }
-  return out.str();
+  return 0;
 }
 
 class InstrumentationEquivalenceTest : public ::testing::Test {
@@ -95,8 +112,10 @@ TEST_F(InstrumentationEquivalenceTest, WrappedOperatorPreservesBytes) {
   ASSERT_FALSE(golden.empty());
 
   obs::MetricRegistry registry;
+  engine::PipelineProfile profile(&registry);
   const std::string instrumented = RunQueryBytes(
-      sql, engine::Instrument(Scan(), "scan", &registry));
+      sql, engine::Profile(Scan(), "scan", &profile,
+                           obs::SteadyClock::Instance()));
   EXPECT_EQ(instrumented, golden);
 
   // The wrapper must have recorded exactly the delivered stream: every
@@ -116,36 +135,16 @@ TEST_F(InstrumentationEquivalenceTest, WrappedOperatorPreservesBytes) {
   EXPECT_EQ(snap.histograms[0].key.name,
             "ausdb_engine_next_latency_seconds");
   // Latency is sampled (counters are exact): one timed pull per
-  // kDefaultLatencySamplePeriod calls, first call always timed.
-  const uint64_t period =
-      engine::InstrumentedOperator::kDefaultLatencySamplePeriod;
+  // kLatencySamplePeriod calls, first call always timed.
+  const uint64_t period = engine::ProfiledOperator::kLatencySamplePeriod;
   EXPECT_EQ(snap.histograms[0].count, (calls + period - 1) / period);
-}
-
-TEST_F(InstrumentationEquivalenceTest,
-       LatencySamplePeriodOneTimesEveryCall) {
-  const std::string sql = "SELECT road_id FROM t WHERE delay > 50 PROB 0.5";
-  obs::MetricRegistry registry;
-  const std::string bytes = RunQueryBytes(
-      sql, engine::Instrument(Scan(), "scan", &registry,
-                              obs::SteadyClock::Instance(),
-                              /*latency_sample_period=*/1));
-  ASSERT_FALSE(bytes.empty());
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  uint64_t calls = 0;
-  for (const auto& c : snap.counters) {
-    if (c.key.name == "ausdb_engine_next_calls_total") calls = c.value;
-  }
-  EXPECT_EQ(calls, data_.tuples.size() + 1);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, calls);
 }
 
 TEST_F(InstrumentationEquivalenceTest, NullRegistryReturnsChildUnchanged) {
   engine::OperatorPtr child = Scan();
   engine::Operator* raw = child.get();
   engine::OperatorPtr same =
-      engine::Instrument(std::move(child), "scan", nullptr);
+      engine::Profile(std::move(child), "scan", nullptr);
   EXPECT_EQ(same.get(), raw);
 }
 
@@ -165,16 +164,18 @@ TEST_F(InstrumentationEquivalenceTest,
         RunQueryBytes(sql, stream::MakeAsyncPrefetch(Scan(), off));
     EXPECT_EQ(plain, golden) << "depth " << depth;
 
-    // Metrics on: queue gauge + wait counters + wrapper, same bytes.
+    // Metrics on: queue gauge + wait counters + mirrored wrapper, same
+    // bytes.
     obs::MetricRegistry registry;
+    engine::PipelineProfile profile(&registry);
     stream::AsyncPrefetchOptions on;
     on.queue_depth = depth;
     on.metrics = &registry;
     on.metrics_label = "sensor_feed";
     const std::string instrumented = RunQueryBytes(
-        sql, engine::Instrument(
-                 stream::MakeAsyncPrefetch(Scan(), on), "prefetch",
-                 &registry));
+        sql, engine::Profile(stream::MakeAsyncPrefetch(Scan(), on),
+                             "prefetch", &profile,
+                             obs::SteadyClock::Instance()));
     EXPECT_EQ(instrumented, golden) << "depth " << depth;
 
     const obs::MetricsSnapshot snap = registry.Snapshot();
@@ -206,9 +207,13 @@ TEST_F(InstrumentationEquivalenceTest,
   auto supervised =
       std::make_unique<stream::SupervisedScan>(Scan(), std::move(opts));
   const stream::SupervisedScan* raw = supervised.get();
-  const std::string instrumented =
-      RunQueryBytes(sql, std::move(supervised));
-  EXPECT_EQ(instrumented, golden);
+  // The plan owns the scan, so it stays alive until the counters below
+  // have been read through `raw`.
+  auto plan = query::PlanQuery(sql, std::move(supervised));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto rows = engine::Collect(**plan);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(SerializeRows(*rows, (*plan)->schema()), golden);
 
   const obs::MetricsSnapshot snap = registry.Snapshot();
   uint64_t emitted = 0;
@@ -234,22 +239,12 @@ TEST_F(InstrumentationEquivalenceTest,
   auto parsed = query::Parse(sql);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
-  const auto bytes_of = [](const std::vector<engine::Tuple>& rows,
-                           const engine::Schema& schema) {
-    std::ostringstream out;
-    for (const auto& t : rows) {
-      out << serde::ToJson(t, schema) << "\n";
-      out << "seq=" << t.sequence() << "\n";
-    }
-    return out.str();
-  };
-
   // Golden: unprofiled, unjournaled, metrics off, plain Collect.
   auto plain = query::BuildPlan(*parsed, Scan());
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   auto reference = engine::Collect(**plain);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const std::string golden = bytes_of(*reference, (*plain)->schema());
+  const std::string golden = SerializeRows(*reference, (*plain)->schema());
   ASSERT_FALSE(golden.empty());
 
   std::string golden_counters, golden_journal, golden_report;
@@ -261,7 +256,7 @@ TEST_F(InstrumentationEquivalenceTest,
                                 (metrics_on ? ", metrics on" : ", metrics off");
         obs::MetricRegistry registry;
         obs::EventJournal journal(64);
-        engine::PipelineProfile profile;
+        engine::PipelineProfile profile(metrics_on ? &registry : nullptr);
 
         query::PlannerOptions popts;
         popts.profiler.profile = &profile;
@@ -275,12 +270,14 @@ TEST_F(InstrumentationEquivalenceTest,
         auto plan = query::BuildPlan(
             *parsed, stream::MakeAsyncPrefetch(Scan(), pre), popts);
         ASSERT_TRUE(plan.ok()) << cfg << ": " << plan.status().ToString();
+        // No operator takes work from a pool inside Next(): the idle
+        // pool of `threads` workers runs alongside the scalar drain.
         ThreadPool pool(threads);
-        auto rows = engine::ParallelCollect(**plan, pool);
+        auto rows = engine::Collect(**plan);
         ASSERT_TRUE(rows.ok()) << cfg << ": " << rows.status().ToString();
 
         // Delivered output: byte-identical to the unprofiled run.
-        EXPECT_EQ(bytes_of(*rows, (*plan)->schema()), golden) << cfg;
+        EXPECT_EQ(SerializeRows(*rows, (*plan)->schema()), golden) << cfg;
 
         // Profiler counters, report and journal: byte-identical across
         // every configuration (pull-count determinism, no wall clock).
@@ -306,15 +303,32 @@ TEST_F(InstrumentationEquivalenceTest,
         }
 
         // Metrics on: the accuracy ledger counted every annotated field
-        // without perturbing any of the bytes above.
+        // and the mirror matched every profile slot, without perturbing
+        // any of the bytes above.
         if (metrics_on) {
+          const obs::MetricsSnapshot snap = registry.Snapshot();
           uint64_t annotated = 0;
-          for (const auto& c : registry.Snapshot().counters) {
+          for (const auto& c : snap.counters) {
             if (c.key.name == "ausdb_accuracy_annotated_fields_total") {
               annotated = c.value;
             }
           }
           EXPECT_GT(annotated, 0u) << cfg;
+          for (const auto& op : profile.operators()) {
+            const std::string at = cfg + " " + op.name;
+            EXPECT_EQ(MirroredCount(snap, "ausdb_engine_tuples_total",
+                                    op.name),
+                      op.tuples)
+                << at;
+            EXPECT_EQ(MirroredCount(snap, "ausdb_engine_next_calls_total",
+                                    op.name),
+                      op.next_calls + op.batch_calls)
+                << at;
+            EXPECT_EQ(MirroredCount(snap, "ausdb_engine_next_errors_total",
+                                    op.name),
+                      op.errors)
+                << at;
+          }
         }
       }
     }
@@ -369,15 +383,16 @@ TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
   wopts.window_size = 8;
   wopts.fn = engine::WindowAggFn::kAvg;
 
-  auto make_plan = [&](obs::MetricRegistry* registry)
+  auto make_plan = [&](engine::PipelineProfile* profile)
       -> engine::OperatorPtr {
+    const obs::Clock* clock = obs::SteadyClock::Instance();
     auto scan =
         std::make_unique<engine::VectorScan>(KeyedSchema(), input);
     auto agg = engine::WindowAggregate::Make(
-        engine::Instrument(std::move(scan), "scan", registry), "x", "agg",
-        wopts, "k");
+        engine::Profile(std::move(scan), "scan", profile, clock), "x",
+        "agg", wopts, "k");
     EXPECT_TRUE(agg.ok()) << agg.status().ToString();
-    return engine::Instrument(std::move(*agg), "window", registry);
+    return engine::Profile(std::move(*agg), "window", profile, clock);
   };
 
   // Golden: no pool, no metrics.
@@ -396,7 +411,8 @@ TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
     EXPECT_EQ(WindowBytes(*rows_off), golden) << threads << " threads";
 
     obs::MetricRegistry registry;
-    auto instrumented = make_plan(&registry);
+    engine::PipelineProfile profile(&registry);
+    auto instrumented = make_plan(&profile);
     auto rows_on = engine::ParallelBatchCollect(*instrumented, pool);
     ASSERT_TRUE(rows_on.ok()) << rows_on.status().ToString();
     EXPECT_EQ(WindowBytes(*rows_on), golden)

@@ -8,7 +8,6 @@
 #include "src/common/logging.h"
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ausdb {
 namespace obs {
@@ -230,76 +229,6 @@ TEST(ObsClockTest, SteadyClockIsMonotonic) {
   const uint64_t a = clock->NowNanos();
   const uint64_t b = clock->NowNanos();
   EXPECT_LE(a, b);
-}
-
-// ---------------------------------------------------------------------
-// Trace
-
-TEST(ObsTraceTest, ScopedSpanRecordsFakeClockDuration) {
-  FakeClock clock;
-  TraceBuffer buffer;
-  {
-    ScopedSpan span(&buffer, &clock, "work");
-    clock.AdvanceSeconds(0.25);
-  }
-  const std::vector<SpanRecord> spans = buffer.Spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "work");
-  EXPECT_DOUBLE_EQ(spans[0].DurationSeconds(), 0.25);
-}
-
-TEST(ObsTraceTest, NullBufferDisablesSpan) {
-  FakeClock clock;
-  ScopedSpan span(nullptr, &clock, "ignored");  // must not crash
-  clock.AdvanceNanos(10);
-}
-
-TEST(ObsTraceTest, RingKeepsNewestSpansOldestFirst) {
-  FakeClock clock;
-  TraceBuffer buffer(3);
-  for (int i = 0; i < 5; ++i) {
-    ScopedSpan span(&buffer, &clock, "span" + std::to_string(i));
-    clock.AdvanceNanos(1);
-  }
-  EXPECT_EQ(buffer.recorded(), 5u);
-  const std::vector<SpanRecord> spans = buffer.Spans();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].name, "span2");
-  EXPECT_EQ(spans[1].name, "span3");
-  EXPECT_EQ(spans[2].name, "span4");
-}
-
-TEST(ObsTraceTest, SnapshotExposesDroppedSpansAcrossWraparound) {
-  FakeClock clock;
-  TraceBuffer buffer(3);
-  // Before overflow: dropped stays zero at every fill level.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(buffer.dropped(), 0u);
-    ScopedSpan span(&buffer, &clock, "warm" + std::to_string(i));
-    clock.AdvanceNanos(1);
-  }
-  EXPECT_EQ(buffer.dropped(), 0u);
-  // Two more spans overwrite the two oldest: overflow is loud.
-  for (int i = 0; i < 2; ++i) {
-    ScopedSpan span(&buffer, &clock, "wrap" + std::to_string(i));
-    clock.AdvanceNanos(1);
-  }
-  EXPECT_EQ(buffer.dropped(), 2u);
-
-  // Snapshot(): counters and spans are one coherent read — the span
-  // list, oldest first, accounts for exactly recorded - dropped spans.
-  const TraceSnapshot snap = buffer.Snapshot();
-  EXPECT_EQ(snap.recorded, 5u);
-  EXPECT_EQ(snap.dropped, 2u);
-  EXPECT_EQ(snap.capacity, 3u);
-  ASSERT_EQ(snap.spans.size(), 3u);
-  EXPECT_EQ(snap.recorded - snap.dropped, snap.spans.size());
-  EXPECT_EQ(snap.spans[0].name, "warm2");
-  EXPECT_EQ(snap.spans[1].name, "wrap0");
-  EXPECT_EQ(snap.spans[2].name, "wrap1");
-  // Oldest-first also by time: start stamps are non-decreasing.
-  EXPECT_LE(snap.spans[0].start_nanos, snap.spans[1].start_nanos);
-  EXPECT_LE(snap.spans[1].start_nanos, snap.spans[2].start_nanos);
 }
 
 // ---------------------------------------------------------------------

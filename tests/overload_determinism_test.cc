@@ -111,19 +111,14 @@ GovernedRun RunGovernedPlan(size_t tuple_count, size_t threads,
   engine::AccuracyAnnotator annotator(std::move(*rb), aopts);
 
   GovernedRun run;
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    auto out = engine::ParallelCollect(annotator, pool);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    for (const Tuple& t : *out) {
-      run.output.push_back(serde::ToJson(t, annotator.schema()));
-    }
-  } else {
-    auto out = Collect(annotator);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    for (const Tuple& t : *out) {
-      run.output.push_back(serde::ToJson(t, annotator.schema()));
-    }
+  // No operator takes work from a pool inside Next(): the idle pool of
+  // `threads` workers runs alongside the scalar drain and must not move
+  // a byte of it.
+  ThreadPool pool(threads);
+  auto out = Collect(annotator);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  for (const Tuple& t : *out) {
+    run.output.push_back(serde::ToJson(t, annotator.schema()));
   }
   run.transitions = gate_view->governor().transitions();
   run.reorder = rb_view->stats();
