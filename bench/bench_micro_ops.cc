@@ -1,12 +1,13 @@
 // Microbenchmarks of the accuracy-engine primitives.
 //
-// Default mode is the vectorized-kernel gate: each flat-array kernel
-// (histogram CDF evaluation, convolution cloud-in-cell deposit, bootstrap
-// resampling, Lemma 1 proportion intervals) runs back-to-back against an
-// inlined replica of the scalar seed loop it replaced, in paired
+// Default mode is the vectorized-kernel gate: each kernel (histogram CDF
+// evaluation, convolution cloud-in-cell deposit, bootstrap resampling,
+// Lemma 1 proportion intervals, the MTEST decision, Gaussian moments)
+// runs back-to-back against the seed loop it replaced, in paired
 // best-of-reps runs so machine drift hits both arms. The bar:
-//  * the CDF-evaluation and convolution-deposit kernels must reach
-//    `--min-speedup` (default 1.3x) over their seed loops, and
+//  * the CDF-evaluation, convolution-deposit, MTEST-decision and
+//    Gaussian-moment kernels must reach `--min-speedup` (default 1.3x)
+//    over their seed loops, and
 //  * the scalar entry points must stay within `--max-scalar-ratio`
 //    (default 1.02 = 2%) of the seed replicas — the kernels are an added
 //    fast path, never a scalar regression.
@@ -43,6 +44,8 @@
 #include "src/dist/learner.h"
 #include "src/expr/evaluator.h"
 #include "src/hypothesis/coupled_tests.h"
+#include "src/hypothesis/mean_tests.h"
+#include "src/stats/descriptive.h"
 #include "src/stats/quantiles.h"
 #include "src/stats/random_variates.h"
 
@@ -451,6 +454,126 @@ bool ReportProportionIntervals(bench::JsonResultsWriter& results) {
   return true;
 }
 
+// MTEST decision: the seed loop computed the exact p-value per test
+// (ValidateAlpha, then MeanTestPValue(...) <= alpha); MeanTest now
+// compares the statistic with a memoized critical value. 20k
+// statistics around the critical value of t(19) and of the normal, all
+// three operators, alpha 0.05.
+bool GateMeanTestDecision(bench::JsonResultsWriter& results,
+                          double min_speedup, bool& gates_ok) {
+  constexpr size_t kTests = 20000;
+  constexpr double kC = 10.0;
+  constexpr double kAlpha = 0.05;
+  const hypothesis::TestOp ops[] = {hypothesis::TestOp::kGreater,
+                                    hypothesis::TestOp::kLess,
+                                    hypothesis::TestOp::kNotEqual};
+  Rng rng(0x3E57);
+  std::vector<hypothesis::SampleStatistics> stats(kTests);
+  std::vector<hypothesis::TestOp> test_ops(kTests);
+  for (size_t i = 0; i < kTests; ++i) {
+    const size_t n = i % 2 == 0 ? 20 : 50;
+    const double stddev = rng.NextDouble(0.5, 3.0);
+    const double se = stddev / std::sqrt(static_cast<double>(n));
+    stats[i] = {kC + 2.0 * se * rng.NextGaussian(), stddev, n};
+    test_ops[i] = ops[rng.NextBelow(3)];
+  }
+  std::vector<double> seed_out(kTests);
+  std::vector<double> kernel_out(kTests);
+
+  const PairedTimes t = PairedBestOfReps(
+      [&] {
+        for (size_t i = 0; i < kTests; ++i) {
+          if (!(kAlpha > 0.0 && kAlpha < 1.0)) std::abort();
+          auto p = hypothesis::MeanTestPValue(stats[i], test_ops[i], kC);
+          AUSDB_CHECK(p.ok());
+          seed_out[i] = *p <= kAlpha ? 1.0 : 0.0;
+        }
+        benchmark::DoNotOptimize(seed_out.data());
+      },
+      [&] {
+        for (size_t i = 0; i < kTests; ++i) {
+          auto accept =
+              hypothesis::MeanTest(stats[i], test_ops[i], kC, kAlpha);
+          AUSDB_CHECK(accept.ok());
+          kernel_out[i] = *accept ? 1.0 : 0.0;
+        }
+        benchmark::DoNotOptimize(kernel_out.data());
+      });
+  if (!BytesEqual(seed_out, kernel_out, "mtest-decision")) return false;
+
+  const double ns_per = 1e9 / static_cast<double>(kTests);
+  bench::PrintRow({"mtest-decision", bench::Fmt(t.scalar_sec * ns_per, 2),
+                   bench::Fmt(t.kernel_sec * ns_per, 2),
+                   bench::Fmt(t.speedup, 3), "-"},
+                  18);
+  results.AddRow({{"kernel", 4.0},
+                  {"seed_ns_per_elem", t.scalar_sec * ns_per},
+                  {"kernel_ns_per_elem", t.kernel_sec * ns_per},
+                  {"speedup", t.speedup}});
+  if (t.speedup < min_speedup) {
+    std::fprintf(stderr, "FAIL: mtest-decision speedup %.3f < %.3f\n",
+                 t.speedup, min_speedup);
+    gates_ok = false;
+  }
+  return true;
+}
+
+// Gaussian moments: the seed LearnGaussian ran the four-moment
+// stats::Summarize and read two of its fields; it now runs the
+// two-moment stats::SummarizeMeanVariance. 10k samples of 20 readings,
+// as the engine learns them.
+bool GateGaussianMoments(bench::JsonResultsWriter& results,
+                         double min_speedup, bool& gates_ok) {
+  constexpr size_t kSamples = 10000;
+  constexpr size_t kReadings = 20;
+  Rng rng(0x6A55);
+  std::vector<double> readings(kSamples * kReadings);
+  for (double& v : readings) v = stats::SampleNormal(rng, 10.0, 2.0);
+  std::vector<double> seed_out(2 * kSamples);
+  std::vector<double> kernel_out(2 * kSamples);
+  const auto sample = [&](size_t i) {
+    return std::span<const double>(readings.data() + i * kReadings,
+                                   kReadings);
+  };
+
+  const PairedTimes t = PairedBestOfReps(
+      [&] {
+        for (size_t i = 0; i < kSamples; ++i) {
+          const stats::SummaryStats s = stats::Summarize(sample(i));
+          seed_out[2 * i] = s.mean;
+          seed_out[2 * i + 1] = s.sample_variance;
+        }
+        benchmark::DoNotOptimize(seed_out.data());
+      },
+      [&] {
+        for (size_t i = 0; i < kSamples; ++i) {
+          const stats::MeanVariance m =
+              stats::SummarizeMeanVariance(sample(i));
+          kernel_out[2 * i] = m.mean;
+          kernel_out[2 * i + 1] = m.sample_variance;
+        }
+        benchmark::DoNotOptimize(kernel_out.data());
+      });
+  if (!BytesEqual(seed_out, kernel_out, "gaussian-moments")) return false;
+
+  const double ns_per =
+      1e9 / static_cast<double>(kSamples * kReadings);
+  bench::PrintRow({"gaussian-moments", bench::Fmt(t.scalar_sec * ns_per, 2),
+                   bench::Fmt(t.kernel_sec * ns_per, 2),
+                   bench::Fmt(t.speedup, 3), "-"},
+                  18);
+  results.AddRow({{"kernel", 5.0},
+                  {"seed_ns_per_elem", t.scalar_sec * ns_per},
+                  {"kernel_ns_per_elem", t.kernel_sec * ns_per},
+                  {"speedup", t.speedup}});
+  if (t.speedup < min_speedup) {
+    std::fprintf(stderr, "FAIL: gaussian-moments speedup %.3f < %.3f\n",
+                 t.speedup, min_speedup);
+    gates_ok = false;
+  }
+  return true;
+}
+
 // ------------------------------------------------------------------
 // google-benchmark suite (run with --gbench).
 // ------------------------------------------------------------------
@@ -622,6 +745,8 @@ int main(int argc, char** argv) {
   if (!GateConvolutionDeposit(results, min_speedup, gates_ok)) return 1;
   if (!ReportResample(results)) return 1;
   if (!ReportProportionIntervals(results)) return 1;
+  if (!GateMeanTestDecision(results, min_speedup, gates_ok)) return 1;
+  if (!GateGaussianMoments(results, min_speedup, gates_ok)) return 1;
 
   if (!results.WriteFile(out_path)) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());

@@ -131,10 +131,16 @@ Result<LearnedDistribution> LearnGaussian(
     return Status::InsufficientData(
         "learning a Gaussian requires at least 2 observations");
   }
-  const auto summary = stats::Summarize(observations);
+  const stats::MeanVariance moments =
+      stats::SummarizeMeanVariance(observations);
+  if (std::isnan(moments.sample_variance)) {
+    return Status::InvalidArgument(
+        "cannot learn a Gaussian: non-finite observations give a NaN "
+        "variance");
+  }
   LearnedDistribution out;
   out.distribution =
-      std::make_shared<GaussianDist>(summary.mean, summary.sample_variance);
+      std::make_shared<GaussianDist>(moments.mean, moments.sample_variance);
   out.sample_size = observations.size();
   out.raw_sample = std::make_shared<const std::vector<double>>(
       observations.begin(), observations.end());

@@ -59,7 +59,8 @@ Result<LearnedDistribution> LearnHistogram(
     const HistogramLearnOptions& options = {});
 
 /// \brief Learns a Gaussian by maximum likelihood (sample mean, unbiased
-/// sample variance). Requires at least 2 observations.
+/// sample variance). Requires at least 2 observations; InvalidArgument
+/// when non-finite observations make the variance NaN.
 Result<LearnedDistribution> LearnGaussian(
     std::span<const double> observations);
 

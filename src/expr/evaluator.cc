@@ -456,6 +456,23 @@ Result<PredicateOutcome> Evaluator::EvalSignificance(const Expr& e,
 
   const auto stats_of = [&](const Expr& operand)
       -> Result<SampleStatistics> {
+    // A bare uncertain Gaussian column is read in place: the closed-form
+    // path would rebuild N(0 + 1*mu, 1*1*sigma^2) with the same n, which
+    // differs from the stored variable at most in the sign of a zero mean
+    // (no test outcome depends on it). Everything else is evaluated: a
+    // Gaussian with kCertain as n (the closed form makes it a plain
+    // double) and any other operand; a histogram column goes through
+    // Monte Carlo and draws from rng_.
+    if (options_.prefer_closed_form &&
+        operand.kind() == ExprKind::kColumnRef) {
+      const auto cell =
+          row.Get(static_cast<const ColumnRefExpr&>(operand).name());
+      const RandomVar* rv = cell.ok() ? (*cell)->random_var_ptr() : nullptr;
+      if (rv != nullptr && rv->sample_size() != kCertain &&
+          rv->distribution()->kind() == dist::DistributionKind::kGaussian) {
+        return hypothesis::StatisticsOf(*rv);
+      }
+    }
     AUSDB_ASSIGN_OR_RETURN(Value v, EvalNumeric(operand, row));
     AUSDB_ASSIGN_OR_RETURN(RandomVar rv, v.AsRandomVar());
     return hypothesis::StatisticsOf(rv);

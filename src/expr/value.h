@@ -75,6 +75,12 @@ class Value {
   /// The RandomVar payload; TypeError if not a random variable.
   Result<dist::RandomVar> random_var() const;
 
+  /// The RandomVar payload in place (no copy); nullptr if not a random
+  /// variable.
+  const dist::RandomVar* random_var_ptr() const {
+    return std::get_if<dist::RandomVar>(&v_);
+  }
+
   /// Numeric view: a kDouble returns itself; a kRandomVar is not
   /// convertible (use AsRandomVar). TypeError otherwise.
   Result<double> AsDouble() const;

@@ -95,16 +95,11 @@ double MomentAccumulator::ExcessKurtosis() const {
 void MomentAccumulator::Reset() { *this = MomentAccumulator(); }
 
 double Mean(std::span<const double> data) {
-  if (data.empty()) return 0.0;
-  MomentAccumulator acc;
-  for (double x : data) acc.Add(x);
-  return acc.mean();
+  return SummarizeMeanVariance(data).mean;
 }
 
 double SampleVariance(std::span<const double> data) {
-  MomentAccumulator acc;
-  for (double x : data) acc.Add(x);
-  return acc.SampleVariance();
+  return SummarizeMeanVariance(data).sample_variance;
 }
 
 double SampleStdDev(std::span<const double> data) {
@@ -130,6 +125,27 @@ SummaryStats Summarize(std::span<const double> data) {
   s.skewness = acc.Skewness();
   s.excess_kurtosis = acc.ExcessKurtosis();
   return s;
+}
+
+MeanVariance SummarizeMeanVariance(std::span<const double> data) {
+  double mean = 0.0;
+  double m2 = 0.0;
+  double n = 0.0;  // exact: counts stay far below 2^53
+  for (double x : data) {
+    const double n1 = n;
+    n += 1.0;
+    const double delta = x - mean;
+    const double delta_n = delta / n;
+    const double term1 = delta * delta_n * n1;
+    mean += delta_n;
+    m2 += term1;
+  }
+  MeanVariance out;
+  out.mean = mean;
+  if (data.size() >= 2) {
+    out.sample_variance = m2 / static_cast<double>(data.size() - 1);
+  }
+  return out;
 }
 
 }  // namespace stats

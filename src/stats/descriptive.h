@@ -81,6 +81,20 @@ double PopulationVariance(std::span<const double> data);
 /// Full one-pass summary of `data`.
 SummaryStats Summarize(std::span<const double> data);
 
+/// Mean and unbiased sample variance of a sample.
+struct MeanVariance {
+  double mean = 0.0;
+  /// Divides by n-1; 0 when size < 2.
+  double sample_variance = 0.0;
+};
+
+/// \brief The two moments of Summarize without its skewness, kurtosis and
+/// extrema work.
+///
+/// Runs MomentAccumulator::Add's mean and M2 updates operation for
+/// operation, so both fields equal Summarize(data)'s bit for bit.
+MeanVariance SummarizeMeanVariance(std::span<const double> data);
+
 }  // namespace stats
 }  // namespace ausdb
 

@@ -1,11 +1,15 @@
 #include "src/stats/descriptive.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/dist/learner.h"
 #include "src/stats/percentile.h"
 
 namespace ausdb {
@@ -137,6 +141,82 @@ TEST(EmpiricalCdfTest, StepsCorrectly) {
   EXPECT_DOUBLE_EQ(EmpiricalCdf(data, 1.0), 0.25);
   EXPECT_DOUBLE_EQ(EmpiricalCdf(data, 2.0), 0.75);
   EXPECT_DOUBLE_EQ(EmpiricalCdf(data, 10.0), 1.0);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// NaN payloads are not part of the contract; every other bit is.
+::testing::AssertionResult SameDouble(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
+  if (Bits(a) == Bits(b)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a << " vs " << b << " (bits differ)";
+}
+
+std::vector<std::vector<double>> MomentCases() {
+  std::vector<std::vector<double>> cases;
+  Rng rng(0x40E);
+  for (size_t n : {2, 3, 20, 1000}) {
+    std::vector<double> gaussian(n), offset(n), mixed(n);
+    for (size_t i = 0; i < n; ++i) {
+      gaussian[i] = 10.0 + 2.0 * rng.NextGaussian();
+      offset[i] = 1e9 + 1e-3 * rng.NextGaussian();
+      mixed[i] = rng.NextDouble(-1e3, 1e3);
+    }
+    cases.push_back(gaussian);
+    cases.push_back(offset);
+    cases.push_back(mixed);
+    cases.push_back(std::vector<double>(n, -3.25));  // constant
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  cases.push_back({1.0, inf});
+  cases.push_back({1.0, -inf, 2.0});
+  cases.push_back({inf, 1.0});
+  cases.push_back({inf, inf});
+  cases.push_back({-inf, inf, 0.0});
+  cases.push_back({1.0, NAN, 2.0});
+  cases.push_back({NAN, NAN});
+  return cases;
+}
+
+TEST(MeanVarianceTest, BitIdenticalToSummarize) {
+  for (const auto& data : MomentCases()) {
+    const SummaryStats full = Summarize(data);
+    const MeanVariance two = SummarizeMeanVariance(data);
+    EXPECT_TRUE(SameDouble(two.mean, full.mean)) << data.size();
+    EXPECT_TRUE(SameDouble(two.sample_variance, full.sample_variance))
+        << data.size();
+  }
+  EXPECT_EQ(Bits(SummarizeMeanVariance({}).mean), Bits(0.0));
+  EXPECT_EQ(Bits(SummarizeMeanVariance(std::vector<double>{4.0})
+                     .sample_variance),
+            Bits(0.0));
+}
+
+TEST(MeanVarianceTest, LearnGaussianMomentsBitIdenticalToSummarize) {
+  for (const auto& data : MomentCases()) {
+    const SummaryStats full = Summarize(data);
+    auto learned = dist::LearnGaussian(data);
+    if (std::isnan(full.sample_variance)) {
+      // A NaN variance is no Gaussian; refused instead of aborting.
+      EXPECT_TRUE(learned.status().IsInvalidArgument());
+      continue;
+    }
+    ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+    EXPECT_TRUE(SameDouble(learned->distribution->Mean(), full.mean));
+    EXPECT_TRUE(
+        SameDouble(learned->distribution->Variance(), full.sample_variance));
+    EXPECT_EQ(learned->sample_size, data.size());
+    ASSERT_NE(learned->raw_sample, nullptr);
+    ASSERT_EQ(learned->raw_sample->size(), data.size());
+    EXPECT_EQ(std::memcmp(learned->raw_sample->data(), data.data(),
+                          data.size() * sizeof(double)),
+              0);
+  }
 }
 
 }  // namespace

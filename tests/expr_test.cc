@@ -1,14 +1,21 @@
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/dist/empirical.h"
 #include "src/dist/gaussian.h"
+#include "src/dist/histogram.h"
 #include "src/dist/learner.h"
 #include "src/expr/analyzer.h"
 #include "src/expr/evaluator.h"
 #include "src/expr/expr.h"
+#include "src/hypothesis/coupled_tests.h"
+#include "src/hypothesis/significance_predicates.h"
 
 namespace ausdb {
 namespace expr {
@@ -366,6 +373,180 @@ TEST(ExprToStringTest, RendersReadably) {
   EXPECT_EQ(e->ToString(), "(Delay > 50) PROB >= 0.66");
   auto t = MTest(Col("temp"), hypothesis::TestOp::kGreater, 97.0, 0.05);
   EXPECT_EQ(t->ToString(), "MTEST(temp, '>', 97, 0.05)");
+}
+
+// Reference decision of a single-alpha or coupled significance predicate:
+// exact p-values against alpha.
+hypothesis::TestOutcome ReferenceOutcome(
+    const std::function<double(hypothesis::TestOp)>& p_value,
+    hypothesis::TestOp op, double alpha, std::optional<double> alpha2) {
+  if (!alpha2.has_value()) {
+    return p_value(op) <= alpha ? hypothesis::TestOutcome::kTrue
+                                : hypothesis::TestOutcome::kFalse;
+  }
+  auto outcome = hypothesis::CoupledTests(
+      [&](hypothesis::TestOp test_op, double a) -> Result<bool> {
+        return p_value(test_op) <= a;
+      },
+      op, alpha, *alpha2);
+  EXPECT_TRUE(outcome.ok());
+  return *outcome;
+}
+
+hypothesis::SampleStatistics GenericStatistics(Evaluator& eval,
+                                               const std::string& column,
+                                               const Row& row) {
+  // x + 0 is linear, so it takes EvalNumeric's closed-form path: the
+  // generic evaluation of a bare column.
+  auto v = eval.Evaluate(*Add(Col(column), Lit(0.0)), row);
+  EXPECT_TRUE(v.ok()) << v.status().ToString();
+  auto rv = v->AsRandomVar();
+  EXPECT_TRUE(rv.ok());
+  auto s = hypothesis::StatisticsOf(*rv);
+  EXPECT_TRUE(s.ok()) << s.status().ToString();
+  return *s;
+}
+
+TEST(SignificanceFastPathTest, BareGaussianColumnMatchesGenericPath) {
+  const std::vector<std::string> names = {"x", "y"};
+  const hypothesis::TestOp ops[] = {hypothesis::TestOp::kGreater,
+                                    hypothesis::TestOp::kLess,
+                                    hypothesis::TestOp::kNotEqual};
+  const std::optional<double> second[] = {std::nullopt, 0.05, 0.2};
+  Rng rng(0xFA57);
+  Evaluator eval;
+  for (int i = 0; i < 400; ++i) {
+    const auto gaussian = [&rng] {
+      const size_t n = 2 + rng.NextBelow(60);
+      return Value(RandomVar(std::make_shared<dist::GaussianDist>(
+                                 rng.NextDouble(8.0, 12.0),
+                                 rng.NextDouble(0.01, 9.0)),
+                             n));
+    };
+    const std::vector<Value> values = {gaussian(), gaussian()};
+    const Row row{&names, &values};
+    const hypothesis::SampleStatistics sx = GenericStatistics(eval, "x", row);
+    const hypothesis::SampleStatistics sy = GenericStatistics(eval, "y", row);
+    const double c = rng.NextDouble(9.0, 11.0);
+    const double alpha = rng.NextDouble(0.005, 0.2);
+    const hypothesis::TestOp op = ops[rng.NextBelow(3)];
+    const std::optional<double> alpha2 = second[rng.NextBelow(3)];
+
+    auto m = eval.EvaluatePredicate(*MTest(Col("x"), op, c, alpha, alpha2),
+                                    row);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    EXPECT_EQ(*m->significance,
+              ReferenceOutcome(
+                  [&](hypothesis::TestOp o) {
+                    return *hypothesis::MeanTestPValue(sx, o, c);
+                  },
+                  op, alpha, alpha2));
+    EXPECT_EQ(m->df_sample_size, sx.n);
+    auto generic = eval.EvaluatePredicate(
+        *MTest(Add(Col("x"), Lit(0.0)), op, c, alpha, alpha2), row);
+    ASSERT_TRUE(generic.ok());
+    EXPECT_EQ(*m->significance, *generic->significance);
+
+    const double d = c - 10.0;
+    auto md = eval.EvaluatePredicate(
+        *MdTest(Col("x"), Col("y"), op, d, alpha, alpha2), row);
+    ASSERT_TRUE(md.ok()) << md.status().ToString();
+    EXPECT_EQ(*md->significance,
+              ReferenceOutcome(
+                  [&](hypothesis::TestOp o) {
+                    return *hypothesis::MeanDifferenceTestPValue(sx, sy, o,
+                                                                 d);
+                  },
+                  op, alpha, alpha2));
+    EXPECT_EQ(md->df_sample_size, std::min(sx.n, sy.n));
+  }
+}
+
+TEST(SignificanceFastPathTest, BareGaussianColumnKeepsGenericErrors) {
+  const std::vector<std::string> names = {"one", "unbounded", "a"};
+  const std::vector<Value> values = {
+      Value(RandomVar(std::make_shared<dist::GaussianDist>(1.0, 1.0), 1)),
+      Value(RandomVar(std::make_shared<dist::GaussianDist>(1.0, 1.0),
+                      RandomVar::kCertainSampleSize)),
+      Value(NAN)};
+  const Row row{&names, &values};
+  Evaluator eval;
+  for (const char* column : {"one", "unbounded", "missing"}) {
+    auto fast = eval.EvaluatePredicate(
+        *MTest(Col(column), hypothesis::TestOp::kGreater, 0.0, 0.05), row);
+    auto generic = eval.EvaluatePredicate(
+        *MTest(Add(Col(column), Lit(0.0)), hypothesis::TestOp::kGreater,
+               0.0, 0.05),
+        row);
+    ASSERT_FALSE(fast.ok());
+    EXPECT_EQ(fast.status().ToString(), generic.status().ToString());
+  }
+}
+
+TEST(SignificanceFastPathTest, NanCertainOperandIsInvalidArgument) {
+  // A closed-form operand over a NaN certain column gives a NaN mean.
+  const std::vector<std::string> names = {"g", "a"};
+  const std::vector<Value> values = {
+      Value(RandomVar(std::make_shared<dist::GaussianDist>(10.0, 4.0), 20)),
+      Value(NAN)};
+  const Row row{&names, &values};
+  Evaluator eval;
+  auto m = eval.EvaluatePredicate(
+      *MTest(Add(Col("g"), Col("a")), hypothesis::TestOp::kGreater, 10.0,
+             0.05, 0.05),
+      row);
+  EXPECT_TRUE(m.status().IsInvalidArgument()) << m.status().ToString();
+  auto md = eval.EvaluatePredicate(
+      *MdTest(Add(Col("g"), Col("a")), Col("g"),
+              hypothesis::TestOp::kNotEqual, 0.0, 0.05),
+      row);
+  EXPECT_TRUE(md.status().IsInvalidArgument()) << md.status().ToString();
+}
+
+TEST(SignificanceFastPathTest, HistogramColumnKeepsMonteCarloAndRngState) {
+  const std::vector<std::string> names = {"h1", "h2"};
+  const auto histogram = [](double shift) {
+    auto h = dist::HistogramDist::Make({shift, shift + 1.0, shift + 3.0},
+                                       {0.4, 0.6});
+    EXPECT_TRUE(h.ok());
+    return Value(RandomVar(
+        std::make_shared<dist::HistogramDist>(std::move(*h)), 25));
+  };
+  const std::vector<Value> values = {histogram(9.0), histogram(8.5)};
+  const Row row{&names, &values};
+  EvalOptions generic_options;
+  generic_options.prefer_closed_form = false;
+  generic_options.mc_samples = 300;
+  EvalOptions options;
+  options.mc_samples = 300;
+  Evaluator fast(options);
+  Evaluator generic(generic_options);
+  for (double c : {9.5, 10.0, 10.3, 10.6}) {
+    for (auto op : {hypothesis::TestOp::kGreater, hypothesis::TestOp::kLess,
+                    hypothesis::TestOp::kNotEqual}) {
+      for (const ExprPtr& e :
+           {MTest(Col("h1"), op, c, 0.05), MTest(Col("h1"), op, c, 0.05, 0.1),
+            MdTest(Col("h1"), Col("h2"), op, c - 10.0, 0.05, 0.05)}) {
+        auto a = fast.EvaluatePredicate(*e, row);
+        auto b = generic.EvaluatePredicate(*e, row);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(*a->significance, *b->significance);
+        EXPECT_EQ(a->df_sample_size, b->df_sample_size);
+      }
+    }
+  }
+  // Both evaluators drew the same Monte Carlo samples, so the next
+  // evaluation's sample is byte-identical.
+  auto next_a = fast.Evaluate(*Square(Col("h1")), row);
+  auto next_b = generic.Evaluate(*Square(Col("h1")), row);
+  ASSERT_TRUE(next_a.ok() && next_b.ok());
+  const auto raw_a = next_a->random_var()->raw_sample();
+  const auto raw_b = next_b->random_var()->raw_sample();
+  ASSERT_TRUE(raw_a != nullptr && raw_b != nullptr);
+  ASSERT_EQ(raw_a->size(), raw_b->size());
+  EXPECT_EQ(std::memcmp(raw_a->data(), raw_b->data(),
+                        raw_a->size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

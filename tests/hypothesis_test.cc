@@ -1,4 +1,6 @@
 #include <cmath>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "src/hypothesis/proportion_test.h"
 #include "src/hypothesis/significance_predicates.h"
 #include "src/stats/descriptive.h"
+#include "src/stats/quantiles.h"
 #include "src/stats/random_variates.h"
 
 namespace ausdb {
@@ -118,6 +121,209 @@ TEST(MeanDifferenceTestTest, WelchHandlesUnequalVariances) {
   SampleStatistics y{0.0, 0.5, 200};
   // Huge variance on x with tiny n: should not be significant.
   EXPECT_FALSE(*MeanDifferenceTest(x, y, TestOp::kGreater, 0.0, 0.05));
+}
+
+TEST(MeanTestTest, NanStatisticIsInvalidArgument) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const SampleStatistics nan_mean{NAN, 1.0, 20};
+  const SampleStatistics inf_mean{inf, 1.0, 20};
+  const SampleStatistics nan_degenerate{NAN, 0.0, 20};
+  const SampleStatistics ok{10.0, 1.0, 20};
+  for (TestOp op : {TestOp::kGreater, TestOp::kLess, TestOp::kNotEqual}) {
+    EXPECT_TRUE(
+        MeanTest(nan_mean, op, 10.0, 0.05).status().IsInvalidArgument());
+    EXPECT_TRUE(
+        MeanTestPValue(nan_mean, op, 10.0).status().IsInvalidArgument());
+    EXPECT_TRUE(MeanTest(ok, op, NAN, 0.05).status().IsInvalidArgument());
+    EXPECT_TRUE(MeanTestPValue(ok, op, NAN).status().IsInvalidArgument());
+    EXPECT_TRUE(MeanTest(inf_mean, op, inf, 0.05).status().IsInvalidArgument());
+    EXPECT_TRUE(MeanTestPValue(inf_mean, op, inf).status().IsInvalidArgument());
+    EXPECT_TRUE(
+        MeanTest(nan_degenerate, op, 10.0, 0.05).status().IsInvalidArgument());
+  }
+  // An infinite but well-defined statistic still decides.
+  EXPECT_TRUE(*MeanTest(inf_mean, TestOp::kGreater, 10.0, 0.05));
+  EXPECT_FALSE(*MeanTest(inf_mean, TestOp::kLess, 10.0, 0.05));
+}
+
+TEST(MeanDifferenceTestTest, NanStatisticIsInvalidArgument) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const SampleStatistics x{10.0, 1.0, 20};
+  const SampleStatistics nan_mean{NAN, 1.0, 20};
+  const SampleStatistics inf_mean{inf, 1.0, 20};
+  for (TestOp op : {TestOp::kGreater, TestOp::kLess, TestOp::kNotEqual}) {
+    EXPECT_TRUE(MeanDifferenceTest(nan_mean, x, op, 0.0, 0.05)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(MeanDifferenceTestPValue(x, nan_mean, op, 0.0)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(
+        MeanDifferenceTest(x, x, op, NAN, 0.05).status().IsInvalidArgument());
+    EXPECT_TRUE(
+        MeanDifferenceTestPValue(x, x, op, NAN).status().IsInvalidArgument());
+    EXPECT_TRUE(MeanDifferenceTest(inf_mean, inf_mean, op, 0.0, 0.05)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(MeanDifferenceTestPValue(inf_mean, inf_mean, op, 0.0)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(MeanDifferenceTestTest, UnrepresentableWelchDofIsInvalidArgument) {
+  // Sq(1e200) overflows, so the Welch d.f. is inf/inf.
+  const SampleStatistics huge{0.0, 1e200, 5};
+  const SampleStatistics y{0.0, 1.0, 5};
+  EXPECT_TRUE(MeanDifferenceTestPValue(huge, y, TestOp::kGreater, 0.0)
+                  .status()
+                  .IsInvalidArgument());
+  // Sq of a subnormal variance underflows to 0, so the d.f. is 0/0.
+  const SampleStatistics tiny{0.0, 1e-160, 5};
+  EXPECT_TRUE(MeanDifferenceTest(tiny, tiny, TestOp::kGreater, 0.0, 0.05)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// Statistics with stddev = sqrt(n) and c = 0 make the test statistic
+// exactly the mean: x.stddev / sqrt(n) is exactly 1.
+SampleStatistics WithStatistic(double statistic, size_t n) {
+  return SampleStatistics{statistic, std::sqrt(static_cast<double>(n)), n};
+}
+
+// Raw statistic whose oriented value (as MeanTest orients it) is `s`.
+double RawStatistic(TestOp op, double s, bool flip_two_sided) {
+  if (op == TestOp::kLess) return -s;
+  if (op == TestOp::kNotEqual && flip_two_sided) return -s;
+  return s;
+}
+
+::testing::AssertionResult DecisionMatchesPValue(double raw, size_t n,
+                                                 TestOp op, double alpha) {
+  const SampleStatistics x = WithStatistic(raw, n);
+  const auto decision = MeanTest(x, op, 0.0, alpha);
+  const auto p = MeanTestPValue(x, op, 0.0);
+  if (!decision.ok() || !p.ok()) {
+    return ::testing::AssertionFailure() << "error at statistic " << raw;
+  }
+  if (*decision != (*p <= alpha)) {
+    return ::testing::AssertionFailure()
+           << "n=" << n << " op=" << TestOpToString(op) << " alpha=" << alpha
+           << " statistic=" << raw << " decision=" << *decision
+           << " p=" << *p;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+double StepUlps(double x, int ulps) {
+  const double toward = ulps < 0 ? -INFINITY : INFINITY;
+  for (int i = 0; i < std::abs(ulps); ++i) x = std::nextafter(x, toward);
+  return x;
+}
+
+TEST(MeanTestBoundaryTest, DecisionEqualsPValueAtAndAroundCriticalValue) {
+  // dof 1..28 use Student t (n = dof + 1); n >= 30 uses the normal.
+  const std::vector<size_t> sizes = {2, 3, 4, 10, 20, 29, 30, 200};
+  const std::vector<double> alphas = {1e-4, 0.01, 0.05, 0.1, 0.5, 0.9};
+  const std::vector<int> ulps = {0, 1, -1, 4, -4, 64, -64};
+  for (size_t n : sizes) {
+    for (double alpha : alphas) {
+      for (TestOp op : {TestOp::kGreater, TestOp::kLess, TestOp::kNotEqual}) {
+        const bool two_sided = op == TestOp::kNotEqual;
+        const double tail = two_sided ? alpha / 2.0 : alpha;
+        const double crit =
+            n < 30 ? stats::StudentTUpperPercentile(
+                         tail, static_cast<double>(n) - 1.0)
+                   : stats::NormalUpperPercentile(tail);
+        auto band = MeanTestDecisionBand(n, op, alpha);
+        ASSERT_TRUE(band.ok());
+        // Every swept alpha gets a finite band, so the sweep exercises
+        // both the memoized comparison and the exact fallback.
+        ASSERT_TRUE(std::isfinite(band->keep_at));
+        ASSERT_TRUE(std::isfinite(band->reject_at));
+        EXPECT_LT(band->keep_at, crit);
+        EXPECT_GT(band->reject_at, crit);
+        for (double anchor : {crit, band->keep_at, band->reject_at}) {
+          for (int u : ulps) {
+            const double s = StepUlps(anchor, u);
+            EXPECT_TRUE(DecisionMatchesPValue(RawStatistic(op, s, false), n,
+                                              op, alpha));
+            if (two_sided) {
+              EXPECT_TRUE(DecisionMatchesPValue(RawStatistic(op, s, true), n,
+                                                op, alpha));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MeanTestBoundaryTest, DecisionEqualsPValueOverRandomSweep) {
+  const std::vector<size_t> sizes = {2, 3, 4, 10, 20, 29, 30, 75};
+  const std::vector<double> alphas = {1e-4, 0.01, 0.05, 0.1, 0.5, 0.9};
+  const TestOp ops[] = {TestOp::kGreater, TestOp::kLess, TestOp::kNotEqual};
+  const double scales[] = {1e-12, 1e-9, 1e-6, 1e-3, 1.0};
+  Rng rng(0x5EED5);
+  for (int i = 0; i < 100000; ++i) {
+    const size_t n = sizes[rng.NextBelow(sizes.size())];
+    const double alpha = alphas[rng.NextBelow(alphas.size())];
+    const TestOp op = ops[rng.NextBelow(3)];
+    const double tail = op == TestOp::kNotEqual ? alpha / 2.0 : alpha;
+    const double crit =
+        n < 30 ? stats::StudentTUpperPercentile(tail,
+                                                static_cast<double>(n) - 1.0)
+               : stats::NormalUpperPercentile(tail);
+    // Mostly near the critical value, at every scale of the band and
+    // beyond it; one draw in six anywhere in [-10, 10].
+    const size_t pick = rng.NextBelow(6);
+    const double s =
+        pick == 5 ? rng.NextDouble(-10.0, 10.0)
+                  : crit + scales[pick] * (1.0 + std::abs(crit)) *
+                               rng.NextGaussian();
+    ASSERT_TRUE(DecisionMatchesPValue(RawStatistic(op, s, rng.NextBelow(2)),
+                                      n, op, alpha));
+  }
+}
+
+TEST(MeanTestBoundaryTest, UnverifiableAlphaFallsBackToPValue) {
+  // Tails this small get no band; every decision takes the p-value.
+  auto band = MeanTestDecisionBand(20, TestOp::kGreater, 1e-13);
+  ASSERT_TRUE(band.ok());
+  EXPECT_TRUE(std::isinf(band->keep_at) && std::isinf(band->reject_at));
+  for (double s : {0.0, 5.0, 20.0, 1e3, 1e6, 1e9}) {
+    EXPECT_TRUE(DecisionMatchesPValue(s, 20, TestOp::kGreater, 1e-13));
+    EXPECT_TRUE(DecisionMatchesPValue(s, 40, TestOp::kNotEqual, 1e-17));
+  }
+}
+
+TEST(MeanTestBoundaryTest, ThreadsWithDifferentAlphasKeepTheirOwnBands) {
+  // Between the two critical values the decisions differ, so a thread
+  // reading the other's memoized band would fail its check.
+  const double alphas[2] = {0.05, 0.01};
+  bool ok[2] = {false, false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([t, &alphas, &ok] {
+      bool all = true;
+      size_t rejected = 0;
+      for (int rep = 0; rep < 200; ++rep) {
+        for (double s = 1.5; s <= 3.0; s += 0.01) {
+          all = all && DecisionMatchesPValue(s, 20, TestOp::kGreater,
+                                             alphas[t]);
+          rejected += *MeanTest(WithStatistic(s, 20), TestOp::kGreater, 0.0,
+                                alphas[t]);
+        }
+      }
+      // t(19) critical values: 1.729 at 0.05, 2.539 at 0.01.
+      const size_t per_rep = rejected / 200;
+      ok[t] = all && (t == 0 ? per_rep > 120 && per_rep < 130
+                             : per_rep > 40 && per_rep < 50);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
 }
 
 TEST(ProportionTestTest, DetectsHighProportion) {
