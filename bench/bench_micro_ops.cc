@@ -1,10 +1,10 @@
 // Microbenchmarks of the accuracy-engine primitives.
 //
 // Default mode is the vectorized-kernel gate: each kernel (histogram CDF
-// evaluation, convolution cloud-in-cell deposit, bootstrap resampling,
-// Lemma 1 proportion intervals, the MTEST decision, Gaussian moments)
-// runs back-to-back against the seed loop it replaced, in paired
-// best-of-reps runs so machine drift hits both arms. The bar:
+// evaluation, convolution cloud-in-cell deposit, Lemma 1 proportion
+// intervals, the MTEST decision, Gaussian moments) runs back-to-back
+// against the seed loop it replaced, in paired best-of-reps runs so
+// machine drift hits both arms. The bar:
 //  * the CDF-evaluation, convolution-deposit, MTEST-decision and
 //    Gaussian-moment kernels must reach `--min-speedup` (default 1.3x)
 //    over their seed loops, and
@@ -37,7 +37,6 @@
 #include "src/accuracy/mean_variance_ci.h"
 #include "src/accuracy/proportion_ci.h"
 #include "src/bootstrap/bootstrap_accuracy.h"
-#include "src/bootstrap/resampler.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
 #include "src/dist/kernels.h"
@@ -357,45 +356,6 @@ bool GateConvolutionDeposit(bench::JsonResultsWriter& results,
                  t.speedup, min_speedup);
     gates_ok = false;
   }
-  return true;
-}
-
-// Bootstrap resampling: seed draw-and-gather loop vs the tiled
-// ResampleInto. Informational (reported, not gated): the draw sequence
-// itself is the floor on this loop.
-bool ReportResample(bench::JsonResultsWriter& results) {
-  constexpr size_t kN = 1024;
-  constexpr size_t kOut = 200000;
-  Rng fill(5);
-  std::vector<double> sample(kN);
-  for (double& v : sample) v = fill.NextDouble();
-  std::vector<double> seed_out(kOut);
-  std::vector<double> kernel_out(kOut);
-
-  const PairedTimes t = PairedBestOfReps(
-      [&] {
-        Rng rng(77);  // same seed both arms: identical draw sequence
-        for (double& slot : seed_out) slot = sample[rng.NextBelow(kN)];
-        benchmark::DoNotOptimize(seed_out.data());
-      },
-      [&] {
-        Rng rng(77);
-        bootstrap::ResampleInto(sample, kernel_out, rng);
-        benchmark::DoNotOptimize(kernel_out.data());
-      });
-  if (!BytesEqual(seed_out, kernel_out, "bootstrap-resample")) {
-    return false;
-  }
-  const double ns_per = 1e9 / static_cast<double>(kOut);
-  bench::PrintRow({"bootstrap-resample",
-                   bench::Fmt(t.scalar_sec * ns_per, 2),
-                   bench::Fmt(t.kernel_sec * ns_per, 2),
-                   bench::Fmt(t.speedup, 3), "-"},
-                  18);
-  results.AddRow({{"kernel", 2.0},
-                  {"seed_ns_per_elem", t.scalar_sec * ns_per},
-                  {"kernel_ns_per_elem", t.kernel_sec * ns_per},
-                  {"speedup", t.speedup}});
   return true;
 }
 
@@ -743,7 +703,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!GateConvolutionDeposit(results, min_speedup, gates_ok)) return 1;
-  if (!ReportResample(results)) return 1;
   if (!ReportProportionIntervals(results)) return 1;
   if (!GateMeanTestDecision(results, min_speedup, gates_ok)) return 1;
   if (!GateGaussianMoments(results, min_speedup, gates_ok)) return 1;

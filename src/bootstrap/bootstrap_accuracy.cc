@@ -105,29 +105,6 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
   return BootstrapAccuracyInfo(values, n, confidence, bin_edges);
 }
 
-Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
-    std::span<const double> sample, size_t num_resamples, double confidence,
-    const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng) {
-  if (sample.empty()) {
-    return Status::InsufficientData("cannot bootstrap an empty sample");
-  }
-  if (num_resamples < 2) {
-    return Status::InvalidArgument("need at least 2 resamples");
-  }
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    return Status::InvalidArgument("confidence must be in (0,1)");
-  }
-  std::vector<double> stat_values;
-  stat_values.reserve(num_resamples);
-  std::vector<double> buffer(sample.size());
-  for (size_t i = 0; i < num_resamples; ++i) {
-    ResampleInto(sample, buffer, rng);
-    stat_values.push_back(statistic(buffer));
-  }
-  return PercentileInterval(std::move(stat_values), confidence);
-}
-
 Result<accuracy::ConfidenceInterval> ParallelPercentileBootstrap(
     std::span<const double> sample, size_t num_resamples, double confidence,
     const std::function<double(std::span<const double>)>& statistic,

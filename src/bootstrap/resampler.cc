@@ -1,7 +1,5 @@
 #include "src/bootstrap/resampler.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 
@@ -20,19 +18,7 @@ void ResampleInto(std::span<const double> sample, std::span<double> out,
                   Rng& rng) {
   AUSDB_CHECK(!sample.empty()) << "cannot resample an empty sample";
   const size_t n = sample.size();
-  // Index tile + gather: the generator draws stay sequential (the draw
-  // order is the determinism contract), but splitting index generation
-  // from the dependent load lets the gather pass pipeline instead of
-  // serializing each load behind the next rng step.
-  constexpr size_t kTile = 256;
-  size_t idx[kTile];
-  const double* src = sample.data();
-  double* dst = out.data();
-  for (size_t base = 0; base < out.size(); base += kTile) {
-    const size_t tile = std::min(kTile, out.size() - base);
-    for (size_t k = 0; k < tile; ++k) idx[k] = rng.NextBelow(n);
-    for (size_t k = 0; k < tile; ++k) dst[base + k] = src[idx[k]];
-  }
+  for (double& slot : out) slot = sample[rng.NextBelow(n)];
 }
 
 std::vector<std::vector<double>> ResampleMany(

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <vector>
 
-#include "src/dist/gaussian.h"
 #include "src/obs/exposition.h"
 #include "src/serde/checkpoint.h"
 
@@ -73,158 +74,7 @@ TimeWindowAggregate::TimeWindowAggregate(OperatorPtr child,
       schema_(std::move(out_schema)),
       options_(options) {}
 
-Result<TimeWindowAggregate::Entry> TimeWindowAggregate::ExtractEntry(
-    const Tuple& t, double ts) const {
-  const expr::Value& v = t.value(value_index_);
-  Entry e;
-  e.timestamp = ts;
-  e.sequence = t.sequence();
-  if (v.is_random_var()) {
-    AUSDB_ASSIGN_OR_RETURN(dist::RandomVar rv, v.random_var());
-    if (!rv.is_certain() &&
-        rv.distribution()->kind() != dist::DistributionKind::kGaussian &&
-        !options_.allow_clt_approximation) {
-      return Status::NotImplemented(
-          "closed-form window aggregation requires Gaussian or "
-          "deterministic inputs; got " + rv.distribution()->ToString());
-    }
-    e.mean = rv.Mean();
-    e.variance = rv.Variance();
-    e.sample_size = rv.sample_size();
-  } else {
-    AUSDB_ASSIGN_OR_RETURN(double d, v.AsDouble());
-    e.mean = d;
-    e.variance = 0.0;
-    e.sample_size = dist::RandomVar::kCertainSampleSize;
-  }
-  return e;
-}
-
 Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
-  if (options_.emit_revisions) return NextRevising();
-  return NextLegacy();
-}
-
-Result<std::optional<Tuple>> TimeWindowAggregate::NextLegacy() {
-  AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, child_->Next());
-  if (!t.has_value()) return std::optional<Tuple>(std::nullopt);
-  ++input_consumed_;
-
-  AUSDB_ASSIGN_OR_RETURN(double ts, t->value(ts_index_).AsDouble());
-  if (!std::isfinite(ts)) {
-    return Status::InvalidArgument(
-        "non-finite window timestamp " + std::to_string(ts) +
-        " (event time must be a finite double)");
-  }
-  if (options_.require_ordered && ts < last_timestamp_) {
-    return Status::InvalidArgument(
-        "out-of-order timestamp " + std::to_string(ts) + " after " +
-        std::to_string(last_timestamp_) +
-        " (set require_ordered=false to accept)");
-  }
-  last_timestamp_ = std::max(last_timestamp_, ts);
-
-  AUSDB_ASSIGN_OR_RETURN(Entry e, ExtractEntry(*t, ts));
-
-  // Insert keeping the deque ordered by timestamp (out-of-order inputs
-  // land near the back).
-  auto pos = window_.end();
-  while (pos != window_.begin() && (pos - 1)->timestamp > e.timestamp) {
-    --pos;
-  }
-  window_.insert(pos, e);
-
-  // Evict everything older than the current watermark minus duration.
-  const double cutoff = last_timestamp_ - options_.duration;
-  while (!window_.empty() && window_.front().timestamp <= cutoff) {
-    window_.pop_front();
-  }
-
-  double sum_mean = 0.0, sum_variance = 0.0;
-  size_t df = dist::RandomVar::kCertainSampleSize;
-  for (const Entry& entry : window_) {
-    sum_mean += entry.mean;
-    sum_variance += entry.variance;
-    df = std::min(df, entry.sample_size);
-  }
-  const double w = static_cast<double>(window_.size());
-  double mean = sum_mean;
-  double variance = sum_variance;
-  if (options_.fn == WindowAggFn::kAvg) {
-    mean /= w;
-    variance /= w * w;
-  }
-
-  dist::RandomVar agg(
-      std::make_shared<dist::GaussianDist>(mean, std::max(0.0, variance)),
-      df);
-  Tuple out({expr::Value(std::move(agg))});
-  out.set_sequence(t->sequence());
-  out.set_membership_prob(t->membership_prob());
-  out.set_membership_df_n(t->membership_df_n());
-  return std::optional<Tuple>(std::move(out));
-}
-
-void TimeWindowAggregate::InsertSorted(const Entry& e) {
-  auto pos = window_.end();
-  while (pos != window_.begin()) {
-    const Entry& prev = *(pos - 1);
-    if (prev.timestamp < e.timestamp ||
-        (prev.timestamp == e.timestamp && prev.sequence <= e.sequence)) {
-      break;
-    }
-    --pos;
-  }
-  window_.insert(pos, e);
-}
-
-TimeWindowAggregate::Output TimeWindowAggregate::ComputeWindow(
-    double window_end, bool revision, const Tuple& trigger) const {
-  const double lo = window_end - options_.duration;
-  double sum_mean = 0.0, sum_variance = 0.0;
-  size_t df = dist::RandomVar::kCertainSampleSize;
-  size_t count = 0;
-  for (const Entry& entry : window_) {
-    if (entry.timestamp <= lo) continue;
-    if (entry.timestamp > window_end) break;
-    sum_mean += entry.mean;
-    sum_variance += entry.variance;
-    df = std::min(df, entry.sample_size);
-    ++count;
-  }
-  const double w = static_cast<double>(count);
-  double mean = sum_mean;
-  double variance = sum_variance;
-  if (options_.fn == WindowAggFn::kAvg && count > 0) {
-    mean /= w;
-    variance /= w * w;
-  }
-  Output o;
-  o.window_end = window_end;
-  o.mean = mean;
-  o.variance = variance;
-  o.df = df;
-  o.revision = revision;
-  o.sequence = trigger.sequence();
-  o.membership_prob = trigger.membership_prob();
-  o.membership_df_n = trigger.membership_df_n();
-  return o;
-}
-
-Tuple TimeWindowAggregate::MaterializeOutput(const Output& o) const {
-  dist::RandomVar agg(
-      std::make_shared<dist::GaussianDist>(o.mean,
-                                           std::max(0.0, o.variance)),
-      o.df);
-  Tuple out({expr::Value(std::move(agg)), expr::Value(o.window_end),
-             expr::Value(o.revision)});
-  out.set_sequence(o.sequence);
-  out.set_membership_prob(o.membership_prob);
-  out.set_membership_df_n(o.membership_df_n);
-  return out;
-}
-
-Result<std::optional<Tuple>> TimeWindowAggregate::NextRevising() {
   for (;;) {
     if (!pending_.empty()) {
       Tuple out = MaterializeOutput(pending_.front());
@@ -241,58 +91,64 @@ Result<std::optional<Tuple>> TimeWindowAggregate::NextRevising() {
           "non-finite window timestamp " + std::to_string(ts) +
           " (event time must be a finite double)");
     }
+    // Extract before admission, so a value the window cannot aggregate
+    // fails loudly even when its tuple would be shed.
+    AUSDB_ASSIGN_OR_RETURN(
+        WindowEntry e, WindowEntryFromValue(t->value(value_index_),
+                                            options_.allow_clt_approximation));
+    e.sequence = t->sequence();
 
-    if (ts >= last_timestamp_ || window_.empty()) {
-      // In-order arrival: advance the horizon, retire what can no
-      // longer be revised, emit this window.
-      AUSDB_ASSIGN_OR_RETURN(Entry e, ExtractEntry(*t, ts));
-      last_timestamp_ = std::max(last_timestamp_, ts);
-      InsertSorted(e);
-      const double horizon = last_timestamp_ - options_.allowed_lateness;
-      const double retention = horizon - options_.duration;
-      while (!window_.empty() &&
-             window_.front().timestamp <= retention) {
-        window_.pop_front();
-      }
-      while (!emitted_ends_.empty() && emitted_ends_.front() <= horizon &&
-             emitted_ends_.front() < ts) {
-        emitted_ends_.pop_front();
-      }
-      pending_.push_back(ComputeWindow(ts, /*revision=*/false, *t));
-      if (emitted_ends_.empty() || emitted_ends_.back() != ts) {
-        emitted_ends_.push_back(ts);
-      }
-      continue;
+    const bool late = ts < last_timestamp_;
+    if (late && options_.require_ordered) {
+      return Status::InvalidArgument(
+          "out-of-order timestamp " + std::to_string(ts) + " after " +
+          std::to_string(last_timestamp_) +
+          " (set require_ordered=false to accept)");
     }
-
-    // Late arrival.
-    const double horizon = last_timestamp_ - options_.allowed_lateness;
-    if (ts <= horizon) {
+    if (late && options_.emit_revisions &&
+        ts <= last_timestamp_ - options_.allowed_lateness) {
       ++shed_late_;
       continue;
     }
-    AUSDB_ASSIGN_OR_RETURN(Entry e, ExtractEntry(*t, ts));
-    InsertSorted(e);
+    last_timestamp_ = std::max(last_timestamp_, ts);
+    InsertSorted({ts, e});
+    // Retire what no window can still use: outside every revisable
+    // window (revision mode) or the current one (allowed_lateness == 0).
+    const double horizon = last_timestamp_ - options_.allowed_lateness;
+    const double retention = horizon - options_.duration;
+    while (!window_.empty() && window_.front().timestamp <= retention) {
+      window_.pop_front();
+    }
+
+    if (!late || !options_.emit_revisions) {
+      // Emit the window ending at max_ts; a lax straggler joins it.
+      pending_.push_back(
+          ComputeWindow(last_timestamp_, /*revision=*/false, *t));
+      if (options_.emit_revisions) {
+        while (!emitted_ends_.empty() && emitted_ends_.front() <= horizon &&
+               emitted_ends_.front() < ts) {
+          emitted_ends_.pop_front();
+        }
+        if (emitted_ends_.empty() || emitted_ends_.back() != ts) {
+          emitted_ends_.push_back(ts);
+        }
+      }
+      continue;
+    }
+
     // Re-emit every already-emitted window this straggler falls into —
     // ends in [ts, ts + duration) — plus the straggler's own window end
     // if it was never emitted, all ascending so downstream folds see
     // revisions in event-time order.
-    bool own_end_known = false;
-    for (double end : emitted_ends_) {
-      if (end < ts) continue;
-      if (end >= ts + options_.duration) break;
-      if (end == ts) own_end_known = true;
-    }
-    if (!own_end_known) {
-      auto pos = emitted_ends_.begin();
-      while (pos != emitted_ends_.end() && *pos < ts) ++pos;
-      emitted_ends_.insert(pos, ts);
+    auto own =
+        std::lower_bound(emitted_ends_.begin(), emitted_ends_.end(), ts);
+    if (own == emitted_ends_.end() || *own != ts) {
+      own = emitted_ends_.insert(own, ts);
     }
     size_t revised = 0;
-    for (double end : emitted_ends_) {
-      if (end < ts) continue;
-      if (end >= ts + options_.duration) break;
-      pending_.push_back(ComputeWindow(end, /*revision=*/true, *t));
+    for (auto it = own;
+         it != emitted_ends_.end() && *it < ts + options_.duration; ++it) {
+      pending_.push_back(ComputeWindow(*it, /*revision=*/true, *t));
       ++revised;
     }
     if (options_.journal != nullptr && revised > 0) {
@@ -303,6 +159,51 @@ Result<std::optional<Tuple>> TimeWindowAggregate::NextRevising() {
               std::to_string(revised) + " window(s)");
     }
   }
+}
+
+void TimeWindowAggregate::InsertSorted(const TimedEntry& e) {
+  // Arrivals are mostly in order: scan back from the end.
+  auto pos = window_.end();
+  while (pos != window_.begin() &&
+         std::tie(e.timestamp, e.entry.sequence) <
+             std::tie((pos - 1)->timestamp, (pos - 1)->entry.sequence)) {
+    --pos;
+  }
+  window_.insert(pos, e);
+}
+
+TimeWindowAggregate::Output TimeWindowAggregate::ComputeWindow(
+    double window_end, bool revision, const Tuple& trigger) const {
+  const double lo = window_end - options_.duration;
+  const auto first = std::partition_point(
+      window_.begin(), window_.end(),
+      [lo](const TimedEntry& e) { return e.timestamp <= lo; });
+  const auto last = std::partition_point(
+      first, window_.end(),
+      [window_end](const TimedEntry& e) { return e.timestamp <= window_end; });
+  Output o;
+  o.window_end = window_end;
+  o.aggregate = ScanAggregate(
+      first, last, options_.fn,
+      [](const TimedEntry& e) -> const WindowEntry& { return e.entry; });
+  o.revision = revision;
+  o.sequence = trigger.sequence();
+  o.membership_prob = trigger.membership_prob();
+  o.membership_df_n = trigger.membership_df_n();
+  return o;
+}
+
+Tuple TimeWindowAggregate::MaterializeOutput(const Output& o) const {
+  std::vector<expr::Value> values{expr::Value(o.aggregate.ToRandomVar())};
+  if (options_.emit_revisions) {
+    values.emplace_back(o.window_end);
+    values.emplace_back(o.revision);
+  }
+  Tuple out(std::move(values));
+  out.set_sequence(o.sequence);
+  out.set_membership_prob(o.membership_prob);
+  out.set_membership_df_n(o.membership_df_n);
+  return out;
 }
 
 Status TimeWindowAggregate::Reset() {
@@ -327,21 +228,21 @@ Result<std::string> TimeWindowAggregate::SaveCheckpoint() const {
   w.Uint(input_consumed_);
   w.Uint(shed_late_);
   w.Uint(window_.size());
-  for (const Entry& e : window_) {
+  for (const TimedEntry& e : window_) {
     w.Double(e.timestamp);
-    w.Double(e.mean);
-    w.Double(e.variance);
-    w.Uint(e.sample_size);
-    w.Uint(e.sequence);
+    w.Double(e.entry.mean);
+    w.Double(e.entry.variance);
+    w.Uint(e.entry.sample_size);
+    w.Uint(e.entry.sequence);
   }
   w.Uint(emitted_ends_.size());
   for (double end : emitted_ends_) w.Double(end);
   w.Uint(pending_.size());
   for (const Output& o : pending_) {
     w.Double(o.window_end);
-    w.Double(o.mean);
-    w.Double(o.variance);
-    w.Uint(o.df);
+    w.Double(o.aggregate.mean);
+    w.Double(o.aggregate.variance);
+    w.Uint(o.aggregate.df);
     w.Uint(o.revision ? 1 : 0);
     w.Uint(o.sequence);
     w.Double(o.membership_prob);
@@ -372,14 +273,14 @@ Status TimeWindowAggregate::RestoreCheckpoint(std::string_view blob) {
   AUSDB_ASSIGN_OR_RETURN(uint64_t shed_late, r.NextUint());
   // Each entry is 3 hex doubles + 2 uints: >= 40 bytes with separators.
   AUSDB_ASSIGN_OR_RETURN(uint64_t count, r.NextCount(40));
-  std::deque<Entry> window;
+  std::deque<TimedEntry> window;
   for (uint64_t i = 0; i < count; ++i) {
-    Entry e;
+    TimedEntry e;
     AUSDB_ASSIGN_OR_RETURN(e.timestamp, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(e.mean, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(e.variance, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(e.sample_size, r.NextUint());
-    AUSDB_ASSIGN_OR_RETURN(e.sequence, r.NextUint());
+    AUSDB_ASSIGN_OR_RETURN(e.entry.mean, r.NextDouble());
+    AUSDB_ASSIGN_OR_RETURN(e.entry.variance, r.NextDouble());
+    AUSDB_ASSIGN_OR_RETURN(e.entry.sample_size, r.NextUint());
+    AUSDB_ASSIGN_OR_RETURN(e.entry.sequence, r.NextUint());
     window.push_back(e);
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t ends_count, r.NextCount(17));
@@ -394,9 +295,9 @@ Status TimeWindowAggregate::RestoreCheckpoint(std::string_view blob) {
   for (uint64_t i = 0; i < pending_count; ++i) {
     Output o;
     AUSDB_ASSIGN_OR_RETURN(o.window_end, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(o.mean, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(o.variance, r.NextDouble());
-    AUSDB_ASSIGN_OR_RETURN(o.df, r.NextUint());
+    AUSDB_ASSIGN_OR_RETURN(o.aggregate.mean, r.NextDouble());
+    AUSDB_ASSIGN_OR_RETURN(o.aggregate.variance, r.NextDouble());
+    AUSDB_ASSIGN_OR_RETURN(o.aggregate.df, r.NextUint());
     AUSDB_ASSIGN_OR_RETURN(uint64_t revision, r.NextUint());
     o.revision = revision != 0;
     AUSDB_ASSIGN_OR_RETURN(o.sequence, r.NextUint());

@@ -59,12 +59,23 @@ struct TimeWindowOptions {
 /// revision:bool), where a late arrival additionally re-emits each
 /// affected window.
 ///
-/// Determinism contract (revision mode): the window entry set is kept
+/// Strict, lax and revising windows run one state machine. Each arrival
+/// is checked for a finite timestamp, turned into a WindowEntry, admitted
+/// (strict mode rejects an out-of-order timestamp; revision mode sheds
+/// one at or below max_ts - allowed_lateness), inserted in
+/// (timestamp, sequence) order, and entries that no window can still
+/// use are retired. A strict or lax window then emits the window ending
+/// at the max observed timestamp, so a lax straggler joins the current
+/// window; a revising window emits or revises the window ends the
+/// straggler touches.
+///
+/// Determinism contract (every mode): the window entry set is kept
 /// sorted by (timestamp, sequence) and every emission recomputes its
-/// aggregate by one scan over that ordering, so an output for window
-/// end W depends only on the *set* of entries in (W-duration, W] —
-/// never on arrival order — and revision folds are bit-identical across
-/// disorder within the lateness bound.
+/// aggregate by one ScanAggregate over that ordering, so an output for
+/// window end W depends only on the *set* of entries in (W-duration, W]
+/// — never on arrival order, including the order in which tuples with
+/// equal timestamps arrive — and revision folds are bit-identical
+/// across disorder within the lateness bound.
 class TimeWindowAggregate final : public Operator {
  public:
   static Result<std::unique_ptr<TimeWindowAggregate>> Make(
@@ -95,20 +106,16 @@ class TimeWindowAggregate final : public Operator {
   uint64_t shed_late() const { return shed_late_; }
 
  private:
-  struct Entry {
+  /// A window entry keyed by its event timestamp.
+  struct TimedEntry {
     double timestamp;
-    double mean;
-    double variance;
-    size_t sample_size;
-    uint64_t sequence;
+    WindowEntry entry;
   };
 
   /// One computed (possibly revision) output awaiting delivery.
   struct Output {
     double window_end;
-    double mean;
-    double variance;
-    size_t df;
+    KeyWindowState::Aggregate aggregate;
     bool revision;
     uint64_t sequence;
     double membership_prob;
@@ -119,11 +126,8 @@ class TimeWindowAggregate final : public Operator {
                       size_t value_index, Schema out_schema,
                       TimeWindowOptions options);
 
-  Result<std::optional<Tuple>> NextLegacy();
-  Result<std::optional<Tuple>> NextRevising();
-  Result<Entry> ExtractEntry(const Tuple& t, double ts) const;
   /// Inserts keeping window_ sorted by (timestamp, sequence).
-  void InsertSorted(const Entry& e);
+  void InsertSorted(const TimedEntry& e);
   /// Aggregate over entries with timestamp in (end - duration, end],
   /// scanned in the deque's (timestamp, sequence) order.
   Output ComputeWindow(double window_end, bool revision,
@@ -135,14 +139,14 @@ class TimeWindowAggregate final : public Operator {
   size_t value_index_;
   Schema schema_;
   TimeWindowOptions options_;
-  std::deque<Entry> window_;
+  std::deque<TimedEntry> window_;
   double last_timestamp_ = -std::numeric_limits<double>::infinity();
   uint64_t input_consumed_ = 0;
   uint64_t shed_late_ = 0;
   /// Revision mode: distinct emitted window ends still inside the
-  /// allowed-lateness horizon (ascending), and computed outputs not yet
-  /// delivered through Next().
+  /// allowed-lateness horizon (ascending).
   std::deque<double> emitted_ends_;
+  /// Computed outputs not yet delivered through Next().
   std::deque<Output> pending_;
 };
 

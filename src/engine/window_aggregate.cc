@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/thread_pool.h"
-#include "src/dist/gaussian.h"
 #include "src/serde/checkpoint.h"
 
 namespace ausdb {
@@ -85,15 +84,11 @@ KeyWindowState* WindowAggregate::StateOf(std::string key) {
 
 Tuple WindowAggregate::EmissionTuple(
     const Item& item, const KeyWindowState::Emission& emission) const {
-  const KeyWindowState::Aggregate& agg = emission.aggregate;
   const Tuple& in = input_.rows()[item.row];
   std::vector<expr::Value> values;
   values.reserve(schema_.num_fields());
   if (key_index_.has_value()) values.push_back(in.value(*key_index_));
-  values.push_back(expr::Value(dist::RandomVar(
-      std::make_shared<dist::GaussianDist>(agg.mean,
-                                           std::max(0.0, agg.variance)),
-      agg.df)));
+  values.push_back(expr::Value(emission.aggregate.ToRandomVar()));
   if (options_.emit_revisions) values.emplace_back(emission.revision);
   Tuple out(std::move(values));
   out.set_sequence(in.sequence());
@@ -129,7 +124,8 @@ Status WindowAggregate::Stage(std::span<const double> slice) {
       item.entry.sample_size = dist::RandomVar::kCertainSampleSize;
     } else {
       AUSDB_ASSIGN_OR_RETURN(
-          item.entry, WindowEntryFromValue(t.value(column_index_), options_));
+          item.entry, WindowEntryFromValue(t.value(column_index_),
+                                           options_.allow_clt_approximation));
     }
     item.entry.sequence = t.sequence();
     item.state = &single_;

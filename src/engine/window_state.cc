@@ -2,19 +2,19 @@
 
 #include <algorithm>
 
-#include "src/dist/random_var.h"
+#include "src/dist/gaussian.h"
 
 namespace ausdb {
 namespace engine {
 
-Result<WindowEntry> WindowEntryFromValue(
-    const expr::Value& v, const WindowAggregateOptions& options) {
+Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
+                                         bool allow_clt_approximation) {
   WindowEntry e;
   if (v.is_random_var()) {
     AUSDB_ASSIGN_OR_RETURN(dist::RandomVar rv, v.random_var());
     if (!rv.is_certain() &&
         rv.distribution()->kind() != dist::DistributionKind::kGaussian &&
-        !options.allow_clt_approximation) {
+        !allow_clt_approximation) {
       return Status::NotImplemented(
           "closed-form window aggregation requires Gaussian or "
           "deterministic inputs; got " + rv.distribution()->ToString() +
@@ -37,6 +37,12 @@ Result<std::string> PartitionKeyFromValue(const expr::Value& v) {
   if (v.is_string()) return *v.string_value();
   AUSDB_ASSIGN_OR_RETURN(double kd, v.AsDouble());
   return std::to_string(kd);
+}
+
+dist::RandomVar KeyWindowState::Aggregate::ToRandomVar() const {
+  return dist::RandomVar(
+      std::make_shared<dist::GaussianDist>(mean, std::max(0.0, variance)),
+      df);
 }
 
 void KeyWindowState::PushMinSlot(size_t sample_size) {
@@ -111,26 +117,6 @@ std::optional<KeyWindowState::Emission> KeyWindowState::Step(
   return Emission{*agg, /*revision=*/false};
 }
 
-KeyWindowState::Aggregate KeyWindowState::ScratchAggregate(
-    const WindowAggregateOptions& options) const {
-  double sum_m = 0.0, sum_v = 0.0;
-  Aggregate agg;
-  agg.df = dist::RandomVar::kCertainSampleSize;
-  for (const WindowEntry& entry : window) {
-    sum_m += entry.mean;
-    sum_v += entry.variance;
-    agg.df = std::min(agg.df, entry.sample_size);
-  }
-  const double w = static_cast<double>(window.size());
-  agg.mean = sum_m;
-  agg.variance = sum_v;
-  if (options.fn == WindowAggFn::kAvg && !window.empty()) {
-    agg.mean /= w;
-    agg.variance /= w * w;
-  }
-  return agg;
-}
-
 std::optional<KeyWindowState::Emission> KeyWindowState::ObserveRevising(
     const WindowEntry& e, const WindowAggregateOptions& options,
     bool* shed_late) {
@@ -149,7 +135,8 @@ std::optional<KeyWindowState::Emission> KeyWindowState::ObserveRevising(
     if (window.size() < options.window_size && !options.emit_partial) {
       return std::nullopt;
     }
-    return Emission{ScratchAggregate(options), /*revision=*/false};
+    return Emission{ScanAggregate(window.begin(), window.end(), options.fn),
+                    /*revision=*/false};
   }
 
   // Late arrival: only the *current* window is revisable (bounded
@@ -180,7 +167,8 @@ std::optional<KeyWindowState::Emission> KeyWindowState::ObserveRevising(
     // joins the still-filling window.
     return std::nullopt;
   }
-  return Emission{ScratchAggregate(options), /*revision=*/true};
+  return Emission{ScanAggregate(window.begin(), window.end(), options.fn),
+                  /*revision=*/true};
 }
 
 }  // namespace engine

@@ -1,8 +1,10 @@
 #ifndef AUSDB_ENGINE_WINDOW_STATE_H_
 #define AUSDB_ENGINE_WINDOW_STATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -62,7 +64,8 @@ struct WindowAggregateOptions {
 /// One window element: the moments and d.f. sample size extracted from an
 /// input value (paper Lemma 3 propagates the minimum sample size), plus
 /// the source-assigned arrival sequence — the event-order key revision
-/// mode sorts and dedupes by.
+/// mode sorts and dedupes by. Count and time windows share it; the time
+/// window keeps each entry's timestamp beside it.
 struct WindowEntry {
   double mean = 0.0;
   double variance = 0.0;
@@ -74,10 +77,10 @@ struct WindowEntry {
 ///
 /// Deterministic doubles become zero-variance entries with the certain
 /// sample size; uncertain values must be Gaussian or deterministic unless
-/// `options.allow_clt_approximation` accepts arbitrary distributions via
-/// their first two moments.
+/// `allow_clt_approximation` accepts arbitrary distributions via their
+/// first two moments. The sequence is left for the caller to set.
 Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
-                                         const WindowAggregateOptions& options);
+                                         bool allow_clt_approximation);
 
 /// \brief Renders a deterministic group-by key value (string or double)
 /// as the partition-map key.
@@ -107,6 +110,10 @@ struct KeyWindowState {
     double mean;
     double variance;
     size_t df;
+
+    /// The output value both windows emit: Gaussian(mean, max(0,
+    /// variance)) with d.f. sample size `df`.
+    dist::RandomVar ToRandomVar() const;
   };
 
   /// Feeds one entry through the window (push, evict when sliding past
@@ -173,9 +180,6 @@ struct KeyWindowState {
   /// Evicts the oldest window entry from all three.
   void PopFront();
 
-  /// Plain-double scan over the current window in deque order.
-  Aggregate ScratchAggregate(const WindowAggregateOptions& options) const;
-
   /// Monotonic (non-decreasing sample_size) deque over the plain-mode
   /// window, answering "min sample size in window" in O(1) amortized.
   std::deque<MinSlot> min_deque_;
@@ -183,6 +187,36 @@ struct KeyWindowState {
   /// sits at position pushed_ - window.size().
   uint64_t pushed_ = 0;
 };
+
+/// \brief The plain-double scan-and-finalize of every window emission
+/// that recomputes from its entries (revising count windows, every time
+/// window): sums the means and variances of [first, last) in iteration
+/// order, takes the minimum d.f. sample size (Lemma 3), and for AVG
+/// divides by the entry count when the range is non-empty. `entry_of`
+/// maps an element to its WindowEntry.
+template <typename It, typename EntryOf = std::identity>
+KeyWindowState::Aggregate ScanAggregate(It first, It last, WindowAggFn fn,
+                                        EntryOf entry_of = {}) {
+  double sum_mean = 0.0, sum_variance = 0.0;
+  size_t count = 0;
+  KeyWindowState::Aggregate agg;
+  agg.df = dist::RandomVar::kCertainSampleSize;
+  for (; first != last; ++first) {
+    const WindowEntry& e = entry_of(*first);
+    sum_mean += e.mean;
+    sum_variance += e.variance;
+    agg.df = std::min(agg.df, e.sample_size);
+    ++count;
+  }
+  const double w = static_cast<double>(count);
+  agg.mean = sum_mean;
+  agg.variance = sum_variance;
+  if (fn == WindowAggFn::kAvg && count > 0) {
+    agg.mean /= w;
+    agg.variance /= w * w;
+  }
+  return agg;
+}
 
 }  // namespace engine
 }  // namespace ausdb

@@ -4,6 +4,7 @@
 // through the stream sources, distribution-drift quarantine, and the
 // AQL WITHIN/LATENESS surface.
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -17,6 +18,7 @@
 #include "src/common/memory_budget.h"
 #include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
+#include "src/dist/histogram.h"
 #include "src/govern/ladder.h"
 #include "src/engine/executor.h"
 #include "src/engine/reorder_buffer.h"
@@ -692,6 +694,77 @@ TEST(TimeWindowRevisionTest, CheckpointResumesMidRevision) {
   auto agg3 = TimeWindowAggregate::Make(Scan({}), "ts", "x", "a", other);
   ASSERT_TRUE(agg3.ok());
   EXPECT_TRUE((*agg3)->RestoreCheckpoint(*blob).IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------
+// TimeWindowAggregate: one core for strict, lax and revising windows
+
+TEST(TimeWindowCoreTest, TiesFoldInSequenceOrderInEveryMode) {
+  // Timestamp-ordered input whose tied tuples arrive against sequence
+  // order. Summed in (timestamp, sequence) order the +-1e16 pair cancels
+  // before 1.0 is added (mean 1/3); summed in arrival order 1.0 would be
+  // absorbed into 1e16 (mean 0). Every mode must give the same bits.
+  const std::vector<Tuple> tuples = {TsTuple(1, 1e16, 5), TsTuple(2, 1.0, 4),
+                                     TsTuple(2, -1e16, 3)};
+  TimeWindowOptions strict;
+  strict.duration = 10.0;
+  TimeWindowOptions lax = strict;
+  lax.require_ordered = false;
+  TimeWindowOptions revising = lax;
+  revising.emit_revisions = true;
+  revising.allowed_lateness = 5.0;
+
+  std::vector<dist::RandomVar> at_end_2;
+  for (const TimeWindowOptions& opts : {strict, lax, revising}) {
+    auto agg = TimeWindowAggregate::Make(
+        std::make_unique<PreservingScan>(TsSchema(), tuples), "ts", "x", "a",
+        opts);
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    auto out = Collect(**agg);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->size(), 3u);
+    // The last output is the window ending at 2 holding all three tuples.
+    at_end_2.push_back(*out->back().value(0).random_var());
+  }
+  EXPECT_EQ(at_end_2[0].Mean(), 1.0 / 3.0);
+  for (const dist::RandomVar& rv : at_end_2) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(rv.Mean()),
+              std::bit_cast<uint64_t>(at_end_2[0].Mean()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(rv.Variance()),
+              std::bit_cast<uint64_t>(at_end_2[0].Variance()));
+    EXPECT_EQ(rv.sample_size(), at_end_2[0].sample_size());
+  }
+}
+
+TEST(TimeWindowCoreTest, BeyondHorizonUnsupportedValueFailsLoudly) {
+  // A value the window cannot aggregate (non-Gaussian, no CLT opt-in)
+  // fails with NotImplemented in order; a straggler carrying it beyond
+  // the lateness horizon must fail the same way, not vanish as shed.
+  auto histogram = dist::HistogramDist::Make({0.0, 1.0, 2.0}, {0.5, 0.5});
+  ASSERT_TRUE(histogram.ok());
+  Tuple bad({expr::Value(1.0),
+             expr::Value(dist::RandomVar(
+                 std::make_shared<dist::HistogramDist>(*histogram), 10))});
+  bad.set_sequence(2);
+  TimeWindowOptions rev;
+  rev.duration = 2.0;
+  rev.require_ordered = false;
+  rev.emit_revisions = true;
+  rev.allowed_lateness = 3.0;
+
+  Tuple in_order = bad;
+  in_order.values()[0] = expr::Value(20.0);
+  for (const Tuple& last : {in_order, bad}) {
+    // ts=1 arrives 9 behind the max timestamp: beyond the horizon.
+    std::vector<Tuple> tuples = {TsTuple(0, 0, 0), TsTuple(10, 100, 1), last};
+    auto agg = TimeWindowAggregate::Make(
+        std::make_unique<PreservingScan>(TsSchema(), std::move(tuples)), "ts",
+        "x", "a", rev);
+    ASSERT_TRUE(agg.ok());
+    auto out = Collect(**agg);
+    EXPECT_TRUE(out.status().IsNotImplemented()) << out.status().ToString();
+    EXPECT_EQ((*agg)->shed_late(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------
