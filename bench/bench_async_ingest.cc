@@ -100,7 +100,7 @@ void BM_IngestPipeline(benchmark::State& state) {
       state.SkipWithError("pipeline construction failed");
       return;
     }
-    auto n = engine::Drain(**pipeline);
+    auto n = engine::Run(**pipeline);
     if (!n.ok() || *n == 0) {
       state.SkipWithError("drain failed");
       return;
@@ -135,7 +135,7 @@ void BM_RawSourceDrain(benchmark::State& state) {
       opts.queue_depth = depth;
       source = stream::MakeAsyncPrefetch(std::move(source), opts);
     }
-    auto n = engine::Drain(*source);
+    auto n = engine::Run(*source);
     if (!n.ok()) {
       state.SkipWithError("drain failed");
       return;

@@ -131,7 +131,7 @@ engine::OperatorPtr MakePipeline(double disorder_fraction,
 double MeasureInputTuplesPerSecond(engine::Operator& plan) {
   stream::ThroughputMeter meter;
   meter.Start();
-  auto count = engine::Drain(plan);
+  auto count = engine::Run(plan);
   AUSDB_CHECK(count.ok()) << count.status().ToString();
   meter.Count(kTuples);
   meter.Stop();

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       engine::ReorderBuffer::Make(std::move(supervised), "ts", ropts);
   AUSDB_CHECK(rb.ok()) << rb.status().ToString();
 
-  auto delivered = engine::Drain(**rb);
+  auto delivered = engine::Run(**rb);
   AUSDB_CHECK(delivered.ok()) << delivered.status().ToString();
 
   const auto& gstats = gate_view->governor().stats();

@@ -126,8 +126,7 @@ void BM_GroupByWindowDrain(benchmark::State& state) {
       state.SkipWithError("planning failed");
       return;
     }
-    auto n = pool ? engine::ParallelBatchDrain(**plan, *pool)
-                  : engine::BatchDrain(**plan);
+    auto n = engine::Run(**plan, {.batched = true, .pool = pool.get()});
     if (!n.ok()) {
       state.SkipWithError("drain failed");
       return;

@@ -87,7 +87,7 @@ void LatencyRow(size_t window) {
 
   Pipeline p = MakePipeline(count, window);
   engine::RecoveryManager mgr = Register(dir, p);
-  auto drained = engine::Drain(*p.root);
+  auto drained = engine::Run(*p.root);
   AUSDB_CHECK(drained.ok()) << drained.status().ToString();
 
   double best_write = 1e9;

@@ -50,7 +50,7 @@ inline std::string FmtInt(double v) {
 inline double MeasureTuplesPerSecond(engine::Operator& plan) {
   stream::ThroughputMeter meter;
   meter.Start();
-  auto count = engine::Drain(plan);
+  auto count = engine::Run(plan);
   AUSDB_CHECK(count.ok()) << count.status().ToString();
   meter.Count(*count);
   meter.Stop();

@@ -2,25 +2,36 @@
 
 #include <algorithm>
 
-#include "src/common/thread_pool.h"
-
 namespace ausdb {
 namespace engine {
 
 namespace {
 
-/// Binds a pool to the plan for one drain and unbinds on scope exit, so
-/// a failed Collect never leaves a dangling pool pointer in the tree.
-class ScopedPoolBinding {
- public:
-  ScopedPoolBinding(Operator& root, ThreadPool& pool) : root_(root) {
-    root_.BindThreadPool(&pool);
+Result<size_t> Pull(Operator& root, const RunOptions& options,
+                    std::vector<Tuple>* rows) {
+  size_t count = 0;
+  if (!options.batched) {
+    while (count < options.limit) {
+      AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
+      if (!t.has_value()) break;
+      if (rows != nullptr) rows->push_back(std::move(*t));
+      ++count;
+    }
+    return count;
   }
-  ~ScopedPoolBinding() { root_.BindThreadPool(nullptr); }
-
- private:
-  Operator& root_;
-};
+  const size_t batch_size = DeterministicBatchSize(root);
+  TupleBatch batch;
+  while (count < options.limit) {
+    AUSDB_RETURN_NOT_OK(
+        root.NextBatch(std::min(batch_size, options.limit - count), batch));
+    if (batch.empty()) break;
+    count += batch.size();
+    if (rows != nullptr) {
+      for (Tuple& t : batch.rows()) rows->push_back(std::move(t));
+    }
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -33,90 +44,24 @@ size_t DeterministicBatchSize(const Operator& plan) {
   return std::clamp(rows, kMinBatchRows, kMaxBatchRows);
 }
 
-Result<std::vector<Tuple>> BatchCollect(Operator& root) {
-  const size_t batch_size = DeterministicBatchSize(root);
-  std::vector<Tuple> out;
-  TupleBatch batch;
-  for (;;) {
-    AUSDB_RETURN_NOT_OK(root.NextBatch(batch_size, batch));
-    if (batch.empty()) return out;
-    for (Tuple& t : batch.rows()) out.push_back(std::move(t));
+Result<size_t> Run(Operator& root, const RunOptions& options,
+                   std::vector<Tuple>* rows) {
+  if (options.pool == nullptr) return Pull(root, options, rows);
+  if (!options.batched) {
+    return Status::InvalidArgument(
+        "a thread pool needs a batched run: Next() never fans out");
   }
-}
-
-Result<size_t> BatchDrain(Operator& root) {
-  const size_t batch_size = DeterministicBatchSize(root);
-  size_t count = 0;
-  TupleBatch batch;
-  for (;;) {
-    AUSDB_RETURN_NOT_OK(root.NextBatch(batch_size, batch));
-    if (batch.empty()) return count;
-    count += batch.size();
-  }
-}
-
-Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
-                                                ThreadPool& pool) {
-  ScopedPoolBinding binding(root, pool);
-  return BatchCollect(root);
-}
-
-Result<size_t> ParallelBatchDrain(Operator& root, ThreadPool& pool) {
-  ScopedPoolBinding binding(root, pool);
-  return BatchDrain(root);
+  root.BindThreadPool(options.pool);
+  Result<size_t> count = Pull(root, options, rows);
+  // Unbind on every path so a failed run leaves no dangling pool pointer
+  // in the tree.
+  root.BindThreadPool(nullptr);
+  return count;
 }
 
 Result<std::vector<Tuple>> Collect(Operator& root) {
   std::vector<Tuple> out;
-  for (;;) {
-    AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
-    if (!t.has_value()) return out;
-    out.push_back(std::move(*t));
-  }
-}
-
-Result<size_t> Drain(Operator& root) {
-  size_t count = 0;
-  for (;;) {
-    AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
-    if (!t.has_value()) return count;
-    ++count;
-  }
-}
-
-namespace {
-
-Status MaybeCheckpoint(Operator& root, size_t every_n, size_t emitted,
-                       CheckpointSink& sink) {
-  if (every_n == 0 || emitted % every_n != 0) return Status::OK();
-  AUSDB_ASSIGN_OR_RETURN(std::string blob, root.SaveCheckpoint());
-  return sink.Write(emitted, blob);
-}
-
-}  // namespace
-
-Result<std::vector<Tuple>> CollectWithCheckpoints(Operator& root,
-                                                  size_t every_n,
-                                                  CheckpointSink& sink) {
-  if (every_n == 0) {
-    return Status::InvalidArgument("checkpoint interval must be >= 1");
-  }
-  std::vector<Tuple> out;
-  for (;;) {
-    AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
-    if (!t.has_value()) return out;
-    out.push_back(std::move(*t));
-    AUSDB_RETURN_NOT_OK(MaybeCheckpoint(root, every_n, out.size(), sink));
-  }
-}
-
-Result<std::vector<Tuple>> CollectLimit(Operator& root, size_t limit) {
-  std::vector<Tuple> out;
-  while (out.size() < limit) {
-    AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, root.Next());
-    if (!t.has_value()) break;
-    out.push_back(std::move(*t));
-  }
+  AUSDB_RETURN_NOT_OK(Run(root, {}, &out).status());
   return out;
 }
 

@@ -1,24 +1,14 @@
 #ifndef AUSDB_ENGINE_EXECUTOR_H_
 #define AUSDB_ENGINE_EXECUTOR_H_
 
-#include <string>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "src/engine/operator.h"
 
 namespace ausdb {
 namespace engine {
-
-/// \brief Pulls every tuple out of `root` into a vector (batch
-/// execution / tests).
-Result<std::vector<Tuple>> Collect(Operator& root);
-
-/// \brief Pulls and discards every tuple, returning the count — the
-/// throughput-measurement path (no materialization cost).
-Result<size_t> Drain(Operator& root);
-
-/// \brief Pulls at most `limit` tuples.
-Result<std::vector<Tuple>> CollectLimit(Operator& root, size_t limit);
 
 /// \brief The executor's batch size for `plan`: a pure function of the
 /// plan shape (its output schema width), never of timing or machine —
@@ -30,65 +20,34 @@ size_t DeterministicBatchSize(const Operator& plan);
 inline constexpr size_t kMinBatchRows = 64;
 inline constexpr size_t kMaxBatchRows = 1024;
 
-/// \brief Collect driven through NextBatch at DeterministicBatchSize:
-/// byte-identical output to Collect (the batch contract), one virtual
-/// dispatch per batch instead of per tuple.
-Result<std::vector<Tuple>> BatchCollect(Operator& root);
+/// How Run pulls a plan.
+struct RunOptions {
+  /// false: one Next() per tuple, the scalar reference path. true: one
+  /// NextBatch per DeterministicBatchSize(root) rows; the output is
+  /// byte-identical (the batch contract), one virtual dispatch per batch.
+  bool batched = false;
 
-/// \brief Drain variant of BatchCollect.
-Result<size_t> BatchDrain(Operator& root);
+  /// Bound to the plan for the run and unbound before Run returns, also
+  /// on error: parallel-aware operators (e.g. a grouped WindowAggregate)
+  /// fan each batch's work across its workers, with output bit-identical
+  /// to the scalar path at any pool size. Only NextBatch fans out, so a
+  /// pool requires `batched`.
+  ThreadPool* pool = nullptr;
 
-/// \brief BatchCollect with `pool` bound to the plan for the duration of
-/// the drain: parallel-aware operators (e.g. a grouped WindowAggregate)
-/// fan each batch's work across the pool's workers. Under the
-/// determinism contract the result is bit-identical to plain Collect at
-/// any pool size. The binding is removed before returning.
-Result<std::vector<Tuple>> ParallelBatchCollect(Operator& root,
-                                                ThreadPool& pool);
-
-/// \brief Drain variant of ParallelBatchCollect.
-Result<size_t> ParallelBatchDrain(Operator& root, ThreadPool& pool);
-
-/// \brief Destination of periodic operator checkpoints: a durable store
-/// in production (file, replicated log), an in-memory slot in tests.
-class CheckpointSink {
- public:
-  virtual ~CheckpointSink() = default;
-
-  /// Persists one checkpoint. `tuples_emitted` is how many output tuples
-  /// `root` had produced when the snapshot was taken — the restore
-  /// position a re-seeked source must resume after.
-  virtual Status Write(uint64_t tuples_emitted, const std::string& blob) = 0;
+  /// Stop once this many tuples are out: the scalar path makes no pull
+  /// after the last one, the batched path asks for min(batch, remaining).
+  size_t limit = std::numeric_limits<size_t>::max();
 };
 
-/// \brief Keeps only the latest checkpoint, in memory.
-class InMemoryCheckpointSink final : public CheckpointSink {
- public:
-  Status Write(uint64_t tuples_emitted, const std::string& blob) override {
-    last_tuples_emitted_ = tuples_emitted;
-    last_blob_ = blob;
-    ++writes_;
-    return Status::OK();
-  }
+/// \brief Pulls `root` to end of stream (or `options.limit`), appending
+/// every tuple to `rows`; a null `rows` only counts them (the
+/// throughput path, no materialization). Returns the number pulled.
+Result<size_t> Run(Operator& root, const RunOptions& options = {},
+                   std::vector<Tuple>* rows = nullptr);
 
-  bool has_checkpoint() const { return writes_ > 0; }
-  uint64_t last_tuples_emitted() const { return last_tuples_emitted_; }
-  const std::string& last_blob() const { return last_blob_; }
-  size_t writes() const { return writes_; }
-
- private:
-  uint64_t last_tuples_emitted_ = 0;
-  std::string last_blob_;
-  size_t writes_ = 0;
-};
-
-/// \brief Like Collect, but snapshots `root`'s state (SaveCheckpoint)
-/// into `sink` after every `every_n` output tuples. `root` must support
-/// checkpointing; a sink write failure aborts execution (a checkpoint
-/// the operator cannot durably record is not a checkpoint).
-Result<std::vector<Tuple>> CollectWithCheckpoints(Operator& root,
-                                                  size_t every_n,
-                                                  CheckpointSink& sink);
+/// \brief Every tuple of `root` through the scalar path: the reference
+/// output the batched, async and parallel paths are compared against.
+Result<std::vector<Tuple>> Collect(Operator& root);
 
 }  // namespace engine
 }  // namespace ausdb

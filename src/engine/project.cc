@@ -101,6 +101,7 @@ Result<Tuple> Project::ProjectOne(const Tuple& t) {
   out.set_membership_prob(t.membership_prob());
   out.set_membership_df_n(t.membership_df_n());
   out.set_sequence(t.sequence());
+  out.set_precision_rung(t.precision_rung());
   if (t.significance().has_value()) {
     out.set_significance(*t.significance());
   }

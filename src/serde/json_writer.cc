@@ -7,6 +7,7 @@
 #include "src/dist/discrete.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
+#include "src/obs/exposition.h"
 
 namespace ausdb {
 namespace serde {
@@ -44,44 +45,10 @@ void AppendArray(std::ostringstream& os, const std::vector<double>& v) {
 
 }  // namespace
 
-std::string JsonQuote(const std::string& s) {
-  std::ostringstream os;
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-  return os.str();
-}
-
 std::string ToJson(const dist::Distribution& d) {
   std::ostringstream os;
   os << "{\"kind\":"
-     << JsonQuote(std::string(DistributionKindToString(d.kind())));
+     << obs::JsonEscape(std::string(DistributionKindToString(d.kind())));
   switch (d.kind()) {
     case dist::DistributionKind::kPoint:
       os << ",\"value\":" << Num(d.Mean());
@@ -154,7 +121,7 @@ std::string ToJson(const expr::Value& value) {
     case expr::ValueType::kDouble:
       return Num(*value.double_value());
     case expr::ValueType::kString:
-      return JsonQuote(*value.string_value());
+      return obs::JsonEscape(*value.string_value());
     case expr::ValueType::kRandomVar: {
       const auto rv = *value.random_var();
       std::ostringstream os;
@@ -176,10 +143,10 @@ std::string ToJson(const engine::Tuple& tuple,
   for (size_t i = 0; i < tuple.num_values() && i < schema.num_fields();
        ++i) {
     if (i > 0) os << ",";
-    os << JsonQuote(schema.field(i).name) << ":"
+    os << obs::JsonEscape(schema.field(i).name) << ":"
        << ToJson(tuple.value(i));
     if (i < tuple.accuracy().size() && tuple.accuracy()[i].has_value()) {
-      os << "," << JsonQuote(schema.field(i).name + "_accuracy") << ":"
+      os << "," << obs::JsonEscape(schema.field(i).name + "_accuracy") << ":"
          << ToJson(*tuple.accuracy()[i]);
     }
   }
@@ -192,7 +159,7 @@ std::string ToJson(const engine::Tuple& tuple,
   }
   if (tuple.significance().has_value()) {
     os << ",\"_significance\":"
-       << JsonQuote(std::string(
+       << obs::JsonEscape(std::string(
               hypothesis::TestOutcomeToString(*tuple.significance())));
   }
   os << "}";

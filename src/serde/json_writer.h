@@ -39,9 +39,6 @@ std::string ToJson(const expr::Value& value);
 std::string ToJson(const engine::Tuple& tuple,
                    const engine::Schema& schema);
 
-/// Escapes a string for embedding in JSON (adds the quotes).
-std::string JsonQuote(const std::string& s);
-
 }  // namespace serde
 }  // namespace ausdb
 

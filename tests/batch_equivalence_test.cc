@@ -64,15 +64,19 @@ std::string RunQueryBytes(const std::string& sql, engine::OperatorPtr scan,
   auto plan = query::PlanQuery(sql, std::move(scan));
   EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
   if (!plan.ok()) return "<plan error>";
-  Result<std::vector<engine::Tuple>> rows = [&] {
-    if (drive == Drive::kScalar) return engine::Collect(**plan);
-    if (threads == 0) return engine::BatchCollect(**plan);
+  std::vector<engine::Tuple> rows;
+  const Status ran = [&] {
+    engine::RunOptions options{.batched = drive != Drive::kScalar};
+    if (!options.batched || threads == 0) {
+      return engine::Run(**plan, options, &rows).status();
+    }
     ThreadPool pool(threads);
-    return engine::ParallelBatchCollect(**plan, pool);
+    options.pool = &pool;
+    return engine::Run(**plan, options, &rows).status();
   }();
-  EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
-  if (!rows.ok()) return "<exec error>";
-  return SerializeRows((*plan)->schema(), *rows);
+  EXPECT_TRUE(ran.ok()) << sql << ": " << ran.ToString();
+  if (!ran.ok()) return "<exec error>";
+  return SerializeRows((*plan)->schema(), rows);
 }
 
 class BatchEquivalenceTest : public ::testing::Test {
@@ -202,9 +206,10 @@ TEST(BatchWindowEquivalenceTest, SlidingWindowOverDoubleColumn) {
         SerializeRows(scalar_plan->schema(), *scalar);
 
     auto batch_plan = make_plan();
-    auto batched = engine::BatchCollect(*batch_plan);
-    ASSERT_TRUE(batched.ok());
-    ASSERT_EQ(SerializeRows(batch_plan->schema(), *batched), golden);
+    std::vector<engine::Tuple> batched;
+    ASSERT_TRUE(
+        engine::Run(*batch_plan, {.batched = true}, &batched).ok());
+    ASSERT_EQ(SerializeRows(batch_plan->schema(), batched), golden);
     ASSERT_EQ(batch_plan->input_consumed(),
               scalar_plan->input_consumed());
   }

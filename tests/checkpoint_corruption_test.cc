@@ -82,8 +82,8 @@ std::string GroupedBlob(size_t inputs, std::optional<size_t> pulled) {
   opts.window_size = 3;
   auto agg = WindowAggregate::Make(std::move(scan), "x", "avg", opts, "key");
   EXPECT_TRUE(agg.ok());
-  auto out = pulled.has_value() ? CollectLimit(**agg, *pulled)
-                                : Collect(**agg);
+  auto out = pulled.has_value() ? engine::Run(**agg, {.limit = *pulled})
+                                : engine::Run(**agg);
   EXPECT_TRUE(out.ok());
   auto blob = (*agg)->SaveCheckpoint();
   EXPECT_TRUE(blob.ok());

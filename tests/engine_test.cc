@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/learner.h"
 #include "src/engine/accuracy_annotator.h"
@@ -187,6 +188,29 @@ TEST(ProjectTest, RejectsEmptyAndBadItems) {
       Project::Make(std::move(scan2), std::move(items)).status().IsNotFound());
 }
 
+// The governor's rung stamp travels with the tuple, so a projection must
+// keep it: the annotator downstream picks its precision from it.
+TEST(ProjectTest, KeepsPrecisionRung) {
+  std::vector<Tuple> tuples;
+  for (uint32_t rung : {2u, 0u, 4u}) {
+    tuples.push_back(RoadTuple("a", 10.0, 4.0, 20));
+    tuples.back().set_precision_rung(rung);
+  }
+  for (bool batched : {false, true}) {
+    std::vector<ProjectionItem> items;
+    items.push_back({"delay", expr::Col("delay")});
+    auto project = Project::Make(
+        std::make_unique<VectorScan>(RoadSchema(), tuples), std::move(items));
+    ASSERT_TRUE(project.ok()) << project.status().ToString();
+    std::vector<Tuple> out;
+    ASSERT_TRUE(engine::Run(**project, {.batched = batched}, &out).ok());
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].precision_rung(), 2u) << "batched " << batched;
+    EXPECT_EQ(out[1].precision_rung(), 0u) << "batched " << batched;
+    EXPECT_EQ(out[2].precision_rung(), 4u) << "batched " << batched;
+  }
+}
+
 TEST(WindowAggregateTest, ClosedFormAvg) {
   // Three Gaussians, window 2: AVG over the last two.
   std::vector<Tuple> tuples = {RoadTuple("a", 10.0, 4.0, 20),
@@ -315,12 +339,98 @@ TEST(StreamSourceTest, LearnedGaussianSource) {
 TEST(ExecutorTest, DrainAndCollectLimit) {
   auto source =
       stream::MakeLearnedGaussianSource("x", 30, 10, 0.0, 1.0, 7);
-  auto limited = CollectLimit(*source, 10);
-  ASSERT_TRUE(limited.ok());
-  EXPECT_EQ(limited->size(), 10u);
-  auto remaining = Drain(*source);
+  std::vector<Tuple> limited;
+  auto pulled = engine::Run(*source, {.limit = 10}, &limited);
+  ASSERT_TRUE(pulled.ok());
+  EXPECT_EQ(*pulled, 10u);
+  EXPECT_EQ(limited.size(), 10u);
+  auto remaining = engine::Run(*source);
   ASSERT_TRUE(remaining.ok());
   EXPECT_EQ(*remaining, 20u);
+}
+
+// A leaf of `rows` one-field tuples that records every NextBatch size it
+// is asked for and every pool binding it receives, and fails once
+// `fail_after` rows are out.
+class RecordingLeaf final : public Operator {
+ public:
+  RecordingLeaf(size_t rows, size_t fail_after)
+      : rows_(rows), fail_after_(fail_after) {
+    EXPECT_TRUE(schema_.AddField({"x", FieldType::kDouble}).ok());
+  }
+
+  const Schema& schema() const override { return schema_; }
+  Result<std::optional<Tuple>> Next() override {
+    if (emitted_ >= fail_after_) return Status::Unavailable("leaf failed");
+    if (emitted_ == rows_) return std::optional<Tuple>();
+    ++emitted_;
+    return std::optional<Tuple>(Tuple({expr::Value(1.0)}));
+  }
+  Status NextBatch(size_t max_n, TupleBatch& out) override {
+    asked_.push_back(max_n);
+    return Operator::NextBatch(max_n, out);
+  }
+  void BindThreadPool(ThreadPool* pool) override { bindings_.push_back(pool); }
+
+  size_t emitted() const { return emitted_; }
+  const std::vector<size_t>& asked() const { return asked_; }
+  const std::vector<ThreadPool*>& bindings() const { return bindings_; }
+
+ private:
+  Schema schema_;
+  size_t rows_;
+  size_t fail_after_;
+  size_t emitted_ = 0;
+  std::vector<size_t> asked_;
+  std::vector<ThreadPool*> bindings_;
+};
+
+TEST(ExecutorTest, BatchedLimitNeverAsksForMoreThanRemains) {
+  RecordingLeaf leaf(5000, SIZE_MAX);
+  const size_t batch = DeterministicBatchSize(leaf);
+  ASSERT_EQ(batch, kMaxBatchRows);
+  auto pulled = engine::Run(leaf, {.batched = true, .limit = batch + 100});
+  ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+  EXPECT_EQ(*pulled, batch + 100);
+  EXPECT_EQ(leaf.emitted(), batch + 100);
+  EXPECT_EQ(leaf.asked(), (std::vector<size_t>{batch, 100}));
+
+  RecordingLeaf small(5000, SIZE_MAX);
+  std::vector<Tuple> rows;
+  ASSERT_TRUE(engine::Run(small, {.batched = true, .limit = 7}, &rows).ok());
+  EXPECT_EQ(rows.size(), 7u);
+  EXPECT_EQ(small.asked(), (std::vector<size_t>{7}));
+
+  RecordingLeaf none(5000, SIZE_MAX);
+  auto zero = engine::Run(none, {.batched = true, .limit = 0});
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0u);
+  EXPECT_TRUE(none.asked().empty());
+}
+
+TEST(ExecutorTest, PoolIsUnboundAfterAFailedRun) {
+  ThreadPool pool(2);
+  RecordingLeaf leaf(5000, /*fail_after=*/1500);
+  std::vector<Tuple> rows;
+  auto failed = engine::Run(leaf, {.batched = true, .pool = &pool}, &rows);
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  EXPECT_EQ(leaf.bindings(), (std::vector<ThreadPool*>{&pool, nullptr}));
+  EXPECT_EQ(rows.size(), kMaxBatchRows);  // the batch before the failure
+
+  RecordingLeaf ok_leaf(30, SIZE_MAX);
+  auto ok = engine::Run(ok_leaf, {.batched = true, .pool = &pool});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, 30u);
+  EXPECT_EQ(ok_leaf.bindings(), (std::vector<ThreadPool*>{&pool, nullptr}));
+}
+
+TEST(ExecutorTest, PoolWithoutBatchedIsRejected) {
+  ThreadPool pool(2);
+  RecordingLeaf leaf(30, SIZE_MAX);
+  auto run = engine::Run(leaf, {.pool = &pool});
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  EXPECT_TRUE(leaf.bindings().empty());
+  EXPECT_EQ(leaf.emitted(), 0u);
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ namespace {
 using engine::Collect;
 using engine::FieldType;
 using engine::OperatorPtr;
-using engine::ParallelBatchCollect;
 using engine::ReorderBuffer;
 using engine::ReorderBufferOptions;
 using engine::ReorderOverflowPolicy;
@@ -888,11 +887,12 @@ TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
         wo, "key");
     ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
     ThreadPool pool(threads);
-    auto out = ParallelBatchCollect(**pooled, pool);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    ASSERT_EQ(out->size(), golden->size()) << threads << " threads";
-    for (size_t i = 0; i < out->size(); ++i) {
-      ASSERT_EQ(serde::ToJson((*out)[i], schema),
+    std::vector<Tuple> out;
+    auto ran = engine::Run(**pooled, {.batched = true, .pool = &pool}, &out);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    ASSERT_EQ(out.size(), golden->size()) << threads << " threads";
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(serde::ToJson(out[i], schema),
                 serde::ToJson((*golden)[i], schema))
           << "output " << i << " at " << threads << " threads";
     }

@@ -233,9 +233,9 @@ TEST(FailureInjectionTest, ClosedWindowsEmitThenFailureStopsCleanly) {
       FailingSource(5), "x", "avg",
       {.window_size = 2, .kind = WindowKind::kTumbling});
   ASSERT_TRUE(whole.ok());
-  auto limited = CollectLimit(**whole, 2);
+  auto limited = engine::Run(**whole, {.limit = 2});
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
-  EXPECT_EQ(limited->size(), 2u);
+  EXPECT_EQ(*limited, 2u);
   EXPECT_FALSE(Collect(**whole).ok());
 }
 

@@ -392,9 +392,9 @@ TEST(SupervisedScanTest, RestartCallbackInvokedOncePerSequence) {
   };
   opts.restart_after_attempts = 2;
   SupervisedScan scan(std::move(source), std::move(opts));
-  auto out = engine::CollectLimit(scan, 6);
+  auto out = engine::Run(scan, {.limit = 6});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->size(), 6u);
+  EXPECT_EQ(*out, 6u);
   EXPECT_EQ(restarted, 1u);
   EXPECT_EQ(scan.counters().restarts, 1u);
 }
@@ -586,9 +586,9 @@ TEST(CheckpointTest, WindowAggregateResumesMidWindowBitForBit) {
       std::make_unique<VectorScan>(XSchema(), tuples), "x", "avg",
       {.window_size = kWindow});
   ASSERT_TRUE(first.ok());
-  auto head = engine::CollectLimit(**first, kKill);
-  ASSERT_TRUE(head.ok());
-  ASSERT_EQ(head->size(), kKill);
+  std::vector<Tuple> head;
+  ASSERT_TRUE(engine::Run(**first, {.limit = kKill}, &head).ok());
+  ASSERT_EQ(head.size(), kKill);
   auto blob = (*first)->SaveCheckpoint();
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   first->reset();  // the crash
@@ -604,10 +604,10 @@ TEST(CheckpointTest, WindowAggregateResumesMidWindowBitForBit) {
   auto tail = engine::Collect(**resumed);
   ASSERT_TRUE(tail.ok());
 
-  ASSERT_EQ(head->size() + tail->size(), full_out->size());
+  ASSERT_EQ(head.size() + tail->size(), full_out->size());
   for (size_t i = 0; i < full_out->size(); ++i) {
     const Tuple& got =
-        i < head->size() ? (*head)[i] : (*tail)[i - head->size()];
+        i < head.size() ? head[i] : (*tail)[i - head.size()];
     const auto a = *got.value(0).random_var();
     const auto b = *(*full_out)[i].value(0).random_var();
     // Bit-for-bit: the checkpoint preserves the accumulators' exact
@@ -623,7 +623,7 @@ TEST(CheckpointTest, WindowAggregateRejectsMismatchedShape) {
       std::make_unique<VectorScan>(XSchema(), GaussianTuples(20, 1)), "x",
       "avg", {.window_size = 8});
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(engine::CollectLimit(**a, 5).ok());
+  ASSERT_TRUE(engine::Run(**a, {.limit = 5}).ok());
   auto blob = (*a)->SaveCheckpoint();
   ASSERT_TRUE(blob.ok());
 
@@ -664,8 +664,8 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
       std::make_unique<VectorScan>(schema, tuples), "x", "avg",
       {.window_size = 8}, "key");
   ASSERT_TRUE(first.ok());
-  auto head = engine::CollectLimit(**first, kKill);
-  ASSERT_TRUE(head.ok());
+  std::vector<Tuple> head;
+  ASSERT_TRUE(engine::Run(**first, {.limit = kKill}, &head).ok());
   auto blob = (*first)->SaveCheckpoint();
   ASSERT_TRUE(blob.ok());
 
@@ -682,10 +682,10 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
   auto tail = engine::Collect(**resumed);
   ASSERT_TRUE(tail.ok());
 
-  ASSERT_EQ(head->size() + tail->size(), full_out->size());
+  ASSERT_EQ(head.size() + tail->size(), full_out->size());
   for (size_t i = 0; i < full_out->size(); ++i) {
     const Tuple& got =
-        i < head->size() ? (*head)[i] : (*tail)[i - head->size()];
+        i < head.size() ? head[i] : (*tail)[i - head.size()];
     EXPECT_EQ(*got.value(0).string_value(),
               *(*full_out)[i].value(0).string_value());
     const auto a = *got.value(1).random_var();
@@ -693,34 +693,6 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
     EXPECT_EQ(a.Mean(), b.Mean()) << "output " << i;
     EXPECT_EQ(a.Variance(), b.Variance()) << "output " << i;
   }
-}
-
-TEST(CheckpointTest, ExecutorWritesPeriodicCheckpoints) {
-  auto agg = engine::WindowAggregate::Make(
-      std::make_unique<VectorScan>(XSchema(), GaussianTuples(50, 2)), "x",
-      "avg", {.window_size = 4});
-  ASSERT_TRUE(agg.ok());
-  engine::InMemoryCheckpointSink sink;
-  auto out = engine::CollectWithCheckpoints(**agg, /*every_n=*/10, sink);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->size(), 47u);
-  EXPECT_EQ(sink.writes(), 4u);  // after outputs 10, 20, 30, 40
-  EXPECT_TRUE(sink.has_checkpoint());
-  EXPECT_EQ(sink.last_tuples_emitted(), 40u);
-  EXPECT_FALSE(sink.last_blob().empty());
-  // The recorded blob restores cleanly into a fresh operator.
-  auto fresh = engine::WindowAggregate::Make(
-      std::make_unique<VectorScan>(XSchema(), std::vector<Tuple>{}), "x",
-      "avg", {.window_size = 4});
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE((*fresh)->RestoreCheckpoint(sink.last_blob()).ok());
-}
-
-TEST(CheckpointTest, ExecutorRejectsUncheckpointableRoot) {
-  VectorScan scan(XSchema(), GaussianTuples(5, 3));
-  engine::InMemoryCheckpointSink sink;
-  auto out = engine::CollectWithCheckpoints(scan, 2, sink);
-  EXPECT_TRUE(out.status().IsNotImplemented());
 }
 
 }  // namespace

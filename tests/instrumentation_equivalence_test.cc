@@ -337,7 +337,7 @@ TEST_F(InstrumentationEquivalenceTest,
 
 // ---------------------------------------------------------------------
 // Thread-count sweep: the grouped window pipeline under
-// ParallelBatchCollect, instrumented vs not, at {1, 4} workers — all runs
+// a pooled batched Run, instrumented vs not, at {1, 4} workers — all runs
 // bit-identical.
 
 engine::Schema KeyedSchema() {
@@ -405,17 +405,20 @@ TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
   for (size_t threads : kThreadCounts) {
     ThreadPool pool(threads);
 
+    const engine::RunOptions pooled{.batched = true, .pool = &pool};
     auto uninstrumented = make_plan(nullptr);
-    auto rows_off = engine::ParallelBatchCollect(*uninstrumented, pool);
-    ASSERT_TRUE(rows_off.ok()) << rows_off.status().ToString();
-    EXPECT_EQ(WindowBytes(*rows_off), golden) << threads << " threads";
+    std::vector<engine::Tuple> rows_off;
+    auto ran = engine::Run(*uninstrumented, pooled, &rows_off);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_EQ(WindowBytes(rows_off), golden) << threads << " threads";
 
     obs::MetricRegistry registry;
     engine::PipelineProfile profile(&registry);
     auto instrumented = make_plan(&profile);
-    auto rows_on = engine::ParallelBatchCollect(*instrumented, pool);
-    ASSERT_TRUE(rows_on.ok()) << rows_on.status().ToString();
-    EXPECT_EQ(WindowBytes(*rows_on), golden)
+    std::vector<engine::Tuple> rows_on;
+    ran = engine::Run(*instrumented, pooled, &rows_on);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_EQ(WindowBytes(rows_on), golden)
         << threads << " threads, metrics on";
 
     // Both wrapper layers saw the full stream.

@@ -88,8 +88,10 @@ Result<std::vector<Tuple>> RunGrouped(const std::vector<Tuple>& input,
   AUSDB_ASSIGN_OR_RETURN(auto agg,
                          WindowAggregate::Make(std::move(scan), "x", "agg",
                                                WindowOpts(), "k"));
-  if (pool == nullptr) return Collect(*agg);
-  return ParallelBatchCollect(*agg, *pool);
+  std::vector<Tuple> out;
+  const RunOptions options{.batched = pool != nullptr, .pool = pool};
+  AUSDB_RETURN_NOT_OK(engine::Run(*agg, options, &out).status());
+  return out;
 }
 
 TEST(ParallelDeterminismTest, ShardedWindowMatchesSerialOperatorBitwise) {
@@ -106,9 +108,10 @@ TEST(ParallelDeterminismTest, ShardedWindowMatchesSerialOperatorBitwise) {
   auto batched = WindowAggregate::Make(std::move(scan), "x", "agg",
                                        WindowOpts(), "k");
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  auto no_pool = BatchCollect(**batched);
-  ASSERT_TRUE(no_pool.ok()) << no_pool.status().ToString();
-  ExpectBitIdentical(*no_pool, *reference);
+  std::vector<Tuple> no_pool;
+  auto ran = engine::Run(**batched, {.batched = true}, &no_pool);
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  ExpectBitIdentical(no_pool, *reference);
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     auto out = RunGrouped(input, &pool);
@@ -136,14 +139,16 @@ TEST(AqlGroupByParallelTest, PlannedWindowBitIdenticalAcrossPullModes) {
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     ASSERT_GT(reference->size(), 100u) << sql;
 
-    auto batched = BatchCollect(*plan());
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    ExpectBitIdentical(*batched, *reference);
+    std::vector<Tuple> batched;
+    auto ran = engine::Run(*plan(), {.batched = true}, &batched);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    ExpectBitIdentical(batched, *reference);
     for (size_t threads : {1u, 4u}) {
       ThreadPool pool(threads);
-      auto pooled = ParallelBatchCollect(*plan(), pool);
-      ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-      ExpectBitIdentical(*pooled, *reference);
+      std::vector<Tuple> pooled;
+      ran = engine::Run(*plan(), {.batched = true, .pool = &pool}, &pooled);
+      ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+      ExpectBitIdentical(pooled, *reference);
     }
   }
 }
@@ -354,11 +359,10 @@ TEST(ParallelDeterminismTest, ShardedCheckpointRestoreResumesMidStream) {
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE((*restored)->RestoreCheckpoint(*blob).ok());
   ThreadPool pool(8);
-  auto after = ParallelBatchCollect(**restored, pool);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-
   std::vector<Tuple> stitched = std::move(before);
-  stitched.insert(stitched.end(), after->begin(), after->end());
+  auto after =
+      engine::Run(**restored, {.batched = true, .pool = &pool}, &stitched);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectBitIdentical(stitched, *reference);
 }
 

@@ -210,9 +210,10 @@ TEST(WindowMinDfTest, RepeatedSequencesUngrouped) {
     auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
                                      "avg", {.window_size = 4});
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-    auto out = batched ? BatchCollect(**agg) : Collect(**agg);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(EmittedDf(*out, 0), expected) << "batched " << batched;
+    std::vector<Tuple> out;
+    auto ran = engine::Run(**agg, {.batched = batched}, &out);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_EQ(EmittedDf(out, 0), expected) << "batched " << batched;
   }
 }
 
@@ -233,9 +234,11 @@ TEST(WindowMinDfTest, RepeatedSequencesGrouped) {
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    auto out = pool ? ParallelBatchCollect(**agg, *pool) : Collect(**agg);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(EmittedDf(*out, 1), expected) << threads << " threads";
+    std::vector<Tuple> out;
+    const RunOptions options{.batched = pool != nullptr, .pool = pool.get()};
+    auto ran = engine::Run(**agg, options, &out);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_EQ(EmittedDf(out, 1), expected) << threads << " threads";
   }
 }
 

@@ -20,6 +20,7 @@
 #include "src/engine/filter.h"
 #include "src/engine/project.h"
 #include "src/engine/recovery_manager.h"
+#include "src/engine/scan.h"
 #include "src/engine/window_aggregate.h"
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
@@ -618,6 +619,19 @@ TEST(RecoveryManagerTest, FallsBackWhenNewestCheckpointCorrupted) {
   for (size_t i = 0; i < full.size(); ++i) {
     ASSERT_EQ(resumed[i], full[i]) << "output " << i;
   }
+}
+
+// A registered operator that cannot checkpoint fails the whole
+// checkpoint loudly, and no generation is written for it.
+TEST(RecoveryManagerTest, RejectsUncheckpointableOperator) {
+  ScratchDir dir("mgr_uncheckpointable");
+  RecoveryManager mgr(dir.path());
+  VectorScan scan(Schema{}, {});
+  ASSERT_TRUE(mgr.RegisterOperator("scan", &scan).ok());
+  auto generation = mgr.Checkpoint(0);
+  EXPECT_TRUE(generation.status().IsNotImplemented())
+      << generation.status().ToString();
+  EXPECT_TRUE(mgr.storage().ListGenerations().empty());
 }
 
 // ---------------------------------------------------------------------

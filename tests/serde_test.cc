@@ -14,14 +14,6 @@ namespace {
 
 using dist::RandomVar;
 
-TEST(JsonQuoteTest, EscapesSpecials) {
-  EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
-  EXPECT_EQ(JsonQuote("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(JsonQuote("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(JsonQuote("a\nb"), "\"a\\nb\"");
-  EXPECT_EQ(JsonQuote(std::string("a\x01") + "b"), "\"a\\u0001b\"");
-}
-
 TEST(JsonWriterTest, Distributions) {
   dist::PointDist p(5.0);
   EXPECT_EQ(ToJson(p), "{\"kind\":\"point\",\"value\":5}");
