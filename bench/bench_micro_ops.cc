@@ -600,6 +600,23 @@ void BM_BootstrapFromDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_BootstrapFromDistribution)->Arg(10)->Arg(20)->Arg(50);
 
+// The printed BOOTSTRAP-ACCURACY-INFO on the same Gaussian: r * n draws
+// from GaussianDist::Sample, then the per-resample reduction. The cost
+// BM_BootstrapFromDistribution's sufficient-statistic draw replaces, kept
+// visible beside it (reported only, not gated).
+void BM_BootstrapPrintedGaussian(benchmark::State& state) {
+  dist::GaussianDist g(10.0, 4.0);
+  Rng rng(1);
+  const size_t r = static_cast<size_t>(state.range(0));
+  std::vector<double> values(20 * r);
+  for (auto _ : state) {
+    for (double& v : values) v = g.Sample(rng);
+    benchmark::DoNotOptimize(
+        bootstrap::BootstrapAccuracyInfo(values, 20, 0.9));
+  }
+}
+BENCHMARK(BM_BootstrapPrintedGaussian)->Arg(10)->Arg(20)->Arg(50);
+
 void BM_CoupledMTest(benchmark::State& state) {
   hypothesis::SampleStatistics s{10.2, 2.0, 20};
   for (auto _ : state) {

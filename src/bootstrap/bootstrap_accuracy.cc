@@ -8,6 +8,7 @@
 #include "src/dist/learner.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/percentile.h"
+#include "src/stats/random_variates.h"
 
 namespace ausdb {
 namespace bootstrap {
@@ -27,14 +28,37 @@ accuracy::ConfidenceInterval PercentileInterval(std::vector<double> values,
   return ci;
 }
 
+Status CheckConfidence(double confidence) {
+  if (!(confidence > 0.0 && confidence < 1.0)) {
+    return Status::InvalidArgument("confidence must be in (0,1)");
+  }
+  return Status::OK();
+}
+
+// Lines 12-15: the intervals of every statistic over the r resamples.
+accuracy::AccuracyInfo PercentileAccuracy(
+    size_t n, double confidence,
+    std::vector<std::vector<double>> bin_heights, std::vector<double> means,
+    std::vector<double> variances) {
+  accuracy::AccuracyInfo info;
+  info.sample_size = n;
+  info.method = accuracy::AccuracyMethod::kBootstrap;
+  info.bin_cis.reserve(bin_heights.size());
+  for (std::vector<double>& heights : bin_heights) {
+    info.bin_cis.push_back(
+        PercentileInterval(std::move(heights), confidence));
+  }
+  info.mean_ci = PercentileInterval(std::move(means), confidence);
+  info.variance_ci = PercentileInterval(std::move(variances), confidence);
+  return info;
+}
+
 }  // namespace
 
 Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
     std::span<const double> values, size_t n, double confidence,
     std::span<const double> bin_edges) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    return Status::InvalidArgument("confidence must be in (0,1)");
-  }
+  AUSDB_RETURN_NOT_OK(CheckConfidence(confidence));
   if (n == 0) {
     return Status::InvalidArgument("d.f. sample size must be >= 1");
   }
@@ -79,18 +103,8 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
     variances.push_back(n > 1 ? ss / static_cast<double>(n - 1) : 0.0);
   }
 
-  accuracy::AccuracyInfo info;
-  info.sample_size = n;
-  info.method = accuracy::AccuracyMethod::kBootstrap;
-  info.bin_cis.reserve(b);
-  for (size_t k = 0; k < b; ++k) {  // lines 12-14
-    info.bin_cis.push_back(
-        PercentileInterval(std::move(bin_heights[k]), confidence));
-  }
-  // Line 15.
-  info.mean_ci = PercentileInterval(std::move(means), confidence);
-  info.variance_ci = PercentileInterval(std::move(variances), confidence);
-  return info;
+  return PercentileAccuracy(n, confidence, std::move(bin_heights),
+                            std::move(means), std::move(variances));
 }
 
 Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
@@ -100,9 +114,33 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
     return Status::InvalidArgument(
         "need n >= 1 and num_resamples >= 2 to bootstrap a distribution");
   }
-  std::vector<double> values(n * num_resamples);
-  for (double& v : values) v = d.Sample(rng);
-  return BootstrapAccuracyInfo(values, n, confidence, bin_edges);
+  AUSDB_RETURN_NOT_OK(CheckConfidence(confidence));
+  if (d.kind() != dist::DistributionKind::kGaussian || !bin_edges.empty()) {
+    // The printed algorithm: m = r * n values drawn from d.
+    std::vector<double> values(n * num_resamples);
+    for (double& v : values) v = d.Sample(rng);
+    return BootstrapAccuracyInfo(values, n, confidence, bin_edges);
+  }
+  // Sufficient-statistic draw. For n iid N(mu, s2) values, lines 9-10
+  // yield a sample mean ~ N(mu, s2/n) and, independently of it, a
+  // sample variance ~ s2 * chi2(n-1) / (n-1) (Cochran's theorem). Drawing
+  // those two per resample gives the joint law of the r (mean, variance)
+  // pairs that r * n draws give, from 2r draws.
+  const double mu = d.Mean();
+  const double s2 = d.Variance();
+  const double se = std::sqrt(s2 / static_cast<double>(n));
+  const double chi2_shape = 0.5 * static_cast<double>(n - 1);
+  std::vector<double> means(num_resamples);
+  std::vector<double> variances(num_resamples, 0.0);
+  for (size_t i = 0; i < num_resamples; ++i) {
+    means[i] = mu + se * rng.NextGaussian();
+    if (n > 1) {
+      variances[i] = s2 * stats::SampleGamma(rng, chi2_shape, 2.0) /
+                     static_cast<double>(n - 1);
+    }
+  }
+  return PercentileAccuracy(n, confidence, {}, std::move(means),
+                            std::move(variances));
 }
 
 Result<accuracy::ConfidenceInterval> ParallelPercentileBootstrap(

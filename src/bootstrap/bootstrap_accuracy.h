@@ -34,9 +34,19 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
     std::span<const double> values, size_t n, double confidence,
     std::span<const double> bin_edges = {});
 
-/// \brief Convenience wrapper for the paper's "second category" of query
-/// processing (operators that produce a distribution, not samples): draws
-/// m = n * num_resamples values from `d` and runs BootstrapAccuracyInfo.
+/// \brief The paper's "second category" of query processing (operators
+/// that produce a distribution, not samples): BOOTSTRAP-ACCURACY-INFO on
+/// `num_resamples` d.f. resamples of size n drawn from `d`.
+///
+/// A Gaussian `d` with no `bin_edges` takes the sufficient-statistic
+/// draw: each resample's mean from N(mu, s2/n) and its variance from
+/// s2 * chi2(n-1) / (n-1), 2 * num_resamples draws with the joint law of
+/// lines 9-10 on n iid normal values (variance 0 when n == 1). Every
+/// other family, and a Gaussian with bin edges, draws the m = n *
+/// num_resamples values and runs BootstrapAccuracyInfo.
+///
+/// Fails with InvalidArgument on n == 0, num_resamples < 2 or a
+/// confidence outside (0, 1), before drawing anything.
 Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
     const dist::Distribution& d, size_t n, size_t num_resamples,
     double confidence, Rng& rng, std::span<const double> bin_edges = {});

@@ -11,13 +11,16 @@ inline uint64_t Rotl(uint64_t x, int k) {
 }
 
 inline uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+  return SplitMix64Mix(*state += 0x9E3779B97F4A7C15ULL);
+}
+
+}  // namespace
+
+uint64_t SplitMix64Mix(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-}  // namespace
 
 Rng::Rng(uint64_t seed) { Seed(seed); }
 

@@ -1,9 +1,44 @@
 #ifndef AUSDB_COMMON_RNG_H_
 #define AUSDB_COMMON_RNG_H_
 
+#include <bit>
 #include <cstdint>
 
 namespace ausdb {
+
+/// SplitMix64's output mix (Steele, Lea & Flood, OOPSLA 2014): a
+/// bijection on 64-bit words that turns nearby inputs into unrelated
+/// outputs. Rng's seeder runs it over the seed; SeedKey folds key words
+/// with it.
+uint64_t SplitMix64Mix(uint64_t x);
+
+/// \brief Counter-based seed derivation (Salmon et al., "Parallel Random
+/// Numbers: As Easy as 1, 2, 3", SC 2011): hashes a key of 64-bit words
+/// into the seed of an Rng, so a stream is a pure function of what it is
+/// drawn for instead of a position in one shared sequence.
+///
+///   Rng rng(SeedKey(plan_seed).Add(column).AddBits(mean).value());
+///
+/// The words are folded in order, so (a, b) and (b, a) give different
+/// seeds. Distinct keys may collide (2^-64 per pair); two users of one
+/// seed then share draws, nothing else.
+class SeedKey {
+ public:
+  explicit SeedKey(uint64_t seed) : h_(SplitMix64Mix(seed)) {}
+
+  SeedKey& Add(uint64_t word) {
+    h_ = SplitMix64Mix(h_ ^ word);
+    return *this;
+  }
+
+  /// Folds the IEEE-754 bit pattern of `v` (so 0.0 and -0.0 differ).
+  SeedKey& AddBits(double v) { return Add(std::bit_cast<uint64_t>(v)); }
+
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_;
+};
 
 /// \brief Deterministic pseudo-random number generator (xoshiro256++).
 ///

@@ -3,17 +3,42 @@
 #include <algorithm>
 
 #include "src/bootstrap/bootstrap_accuracy.h"
+#include "src/common/rng.h"
 #include "src/dist/histogram.h"
 #include "src/govern/precision.h"
 
 namespace ausdb {
 namespace engine {
 
+namespace {
+
+// The seed of one field's bootstrap stream: a hash of the plan seed, the
+// column, the variable the interval describes and the effort spent on
+// it. The interval is then a pure function of the annotated value, not
+// of how many outputs were annotated before it — a revising window's
+// final output for an end gets the bytes in-order delivery gives it.
+uint64_t FieldSeed(uint64_t seed, size_t column, const dist::RandomVar& rv,
+                   size_t resamples, size_t histogram_merge) {
+  const dist::Distribution& d = *rv.distribution();
+  SeedKey key(seed);
+  key.Add(column)
+      .Add(static_cast<uint64_t>(d.kind()))
+      .AddBits(d.Mean())
+      .AddBits(d.Variance());
+  if (d.kind() == dist::DistributionKind::kHistogram) {
+    const auto& h = static_cast<const dist::HistogramDist&>(d);
+    for (double e : h.edges()) key.AddBits(e);
+    for (double p : h.probs()) key.AddBits(p);
+  }
+  key.Add(rv.sample_size()).Add(resamples).Add(histogram_merge);
+  return key.value();
+}
+
+}  // namespace
+
 AccuracyAnnotator::AccuracyAnnotator(OperatorPtr child,
                                      AccuracyAnnotatorOptions options)
-    : child_(std::move(child)),
-      options_(std::move(options)),
-      rng_(options_.seed) {
+    : child_(std::move(child)), options_(std::move(options)) {
   if (options_.metrics != nullptr) {
     const obs::Labels labels = {{"plan", options_.metrics_label}};
     m_halfwidth_ = options_.metrics->GetHistogram(
@@ -44,7 +69,7 @@ const govern::RungSpec* AccuracyAnnotator::RungSpecFor(
 }
 
 Result<accuracy::AccuracyInfo> AccuracyAnnotator::Annotate(
-    const dist::RandomVar& rv, const govern::RungSpec* spec,
+    const dist::RandomVar& rv, size_t column, const govern::RungSpec* spec,
     const govern::MethodSpec* chosen) {
   // Baseline method: the cost model's choice when a chooser is wired,
   // the fixed option otherwise. A force_analytical rung swaps bootstrap
@@ -93,9 +118,12 @@ Result<accuracy::AccuracyInfo> AccuracyAnnotator::Annotate(
     return bootstrap::BootstrapAccuracyInfo(values, n, options_.confidence,
                                             edges);
   }
-  // Second category: sample a fresh sequence from the distribution.
+  // Second category: sample from the distribution, on the field's own
+  // keyed stream.
+  Rng rng(FieldSeed(options_.seed, column, rv, resamples,
+                    chosen != nullptr ? chosen->histogram_merge : 1));
   return bootstrap::BootstrapAccuracyFromDistribution(
-      *rv.distribution(), n, resamples, options_.confidence, rng_, edges);
+      *rv.distribution(), n, resamples, options_.confidence, rng, edges);
 }
 
 Status AccuracyAnnotator::ResolveColumns() {
@@ -166,7 +194,7 @@ Status AccuracyAnnotator::AnnotateTuple(Tuple& t) {
     }
     AUSDB_ASSIGN_OR_RETURN(
         accuracy::AccuracyInfo info,
-        Annotate(rv, spec, has_chooser ? &chosen : nullptr));
+        Annotate(rv, idx, spec, has_chooser ? &chosen : nullptr));
     if (m_annotated_ != nullptr) {
       m_annotated_->Increment();
       if (info.mean_ci.has_value()) {
@@ -226,8 +254,8 @@ Status AccuracyAnnotator::NextBatch(size_t max_n, TupleBatch& out) {
   }
   AUSDB_RETURN_NOT_OK(ResolveColumns());
   AUSDB_RETURN_NOT_OK(child_->NextBatch(max_n, out));
-  // Rows are annotated in arrival order: the bootstrap path draws from
-  // rng_, so the per-tuple draw sequence must match the scalar path.
+  // Rows are annotated in arrival order: the chooser's observation
+  // feedback is sequential, so its epochs tick as on the scalar path.
   for (Tuple& t : out.rows()) {
     AUSDB_RETURN_NOT_OK(AnnotateTuple(t));
   }

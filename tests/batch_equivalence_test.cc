@@ -153,8 +153,8 @@ TEST_F(BatchEquivalenceTest, AnalyticalAccuracyQuery) {
 }
 
 TEST_F(BatchEquivalenceTest, BootstrapAccuracyQuery) {
-  // The annotator draws from its generator per tuple: batched pulls must
-  // replay the identical draw sequence.
+  // Each bootstrapped field draws from its own keyed stream: batched
+  // pulls must deliver the intervals the scalar path delivers.
   ExpectBatchEquivalent(
       "SELECT * FROM t WHERE delay > 50 "
       "WITH ACCURACY BOOTSTRAP CONFIDENCE 0.9");

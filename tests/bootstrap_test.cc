@@ -9,7 +9,9 @@
 
 #include "src/bootstrap/resampler.h"
 #include "src/dist/gaussian.h"
+#include "src/dist/histogram.h"
 #include "src/stats/descriptive.h"
+#include "src/stats/ks_test.h"
 #include "src/stats/random_variates.h"
 
 namespace ausdb {
@@ -174,6 +176,123 @@ TEST(BootstrapCoverageProperty, SkewedPopulationCoverage) {
   }
   const double coverage = static_cast<double>(hits) / kTrials;
   EXPECT_GT(coverage, 0.80);
+}
+
+// ---------------------------------------------------------------------
+// The sufficient-statistic draw for Gaussian distributions
+//
+// Pre-registered design, fixed before any result was read:
+//   * grid n in {2, 5, 20, 80} x r in {20, 200}, N(3, 4), confidence 0.9;
+//   * kLawTrials = 2000 intervals per path per cell, each path on its own
+//     Rng seeded kFastSeed + cell / kPrintedSeed + cell;
+//   * the printed algorithm is r * n draws from GaussianDist::Sample, then
+//     BootstrapAccuracyInfo;
+//   * a two-sample KS test per cell on each of mean_ci.lo, mean_ci.hi,
+//     variance_ci.lo and variance_ci.hi (32 tests); every p-value must be
+//     at least kLawAlpha = 0.01 / 32 (Bonferroni, family-wise 0.01).
+
+constexpr size_t kLawTrials = 2000;
+constexpr uint64_t kFastSeed = 0xFA57;
+constexpr uint64_t kPrintedSeed = 0x9217;
+constexpr double kLawAlpha = 0.01 / 32.0;
+
+// The four interval ends of kLawTrials intervals.
+struct IntervalEnds {
+  std::vector<double> ends[4];
+
+  void Add(const accuracy::AccuracyInfo& info) {
+    ends[0].push_back(info.mean_ci->lo);
+    ends[1].push_back(info.mean_ci->hi);
+    ends[2].push_back(info.variance_ci->lo);
+    ends[3].push_back(info.variance_ci->hi);
+  }
+};
+
+TEST(BootstrapLawTest, SufficientStatisticDrawMatchesPrintedAlgorithm) {
+  const dist::GaussianDist g(3.0, 4.0);
+  const char* const kEnds[4] = {"mean_ci.lo", "mean_ci.hi", "variance_ci.lo",
+                                "variance_ci.hi"};
+  uint64_t cell = 0;
+  for (size_t n : {size_t{2}, size_t{5}, size_t{20}, size_t{80}}) {
+    for (size_t r : {size_t{20}, size_t{200}}) {
+      Rng fast_rng(kFastSeed + cell);
+      Rng printed_rng(kPrintedSeed + cell);
+      ++cell;
+      IntervalEnds fast, printed;
+      std::vector<double> values(n * r);
+      for (size_t t = 0; t < kLawTrials; ++t) {
+        auto f = BootstrapAccuracyFromDistribution(g, n, r, 0.9, fast_rng);
+        ASSERT_TRUE(f.ok()) << f.status().ToString();
+        fast.Add(*f);
+        for (double& v : values) v = g.Sample(printed_rng);
+        auto p = BootstrapAccuracyInfo(values, n, 0.9);
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        printed.Add(*p);
+      }
+      for (int k = 0; k < 4; ++k) {
+        auto ks = stats::KsTestTwoSample(fast.ends[k], printed.ends[k]);
+        ASSERT_TRUE(ks.ok());
+        EXPECT_GE(ks->p_value, kLawAlpha)
+            << kEnds[k] << " at n=" << n << " r=" << r
+            << ": KS D=" << ks->statistic;
+      }
+    }
+  }
+}
+
+TEST(BootstrapLawTest, SingleObservationHasZeroVarianceInterval) {
+  const dist::GaussianDist g(3.0, 4.0);
+  Rng rng(11);
+  auto info = BootstrapAccuracyFromDistribution(g, 1, 20, 0.9, rng);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->variance_ci->lo, 0.0);
+  EXPECT_EQ(info->variance_ci->hi, 0.0);
+  EXPECT_LT(info->mean_ci->lo, info->mean_ci->hi);
+}
+
+TEST(BootstrapLawTest, ZeroVarianceGivesDegenerateIntervals) {
+  const dist::GaussianDist g(0.1, 0.0);
+  Rng rng(12);
+  auto info = BootstrapAccuracyFromDistribution(g, 20, 20, 0.9, rng);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->mean_ci->lo, 0.1);
+  EXPECT_EQ(info->mean_ci->hi, 0.1);
+  EXPECT_EQ(info->variance_ci->lo, 0.0);
+  EXPECT_EQ(info->variance_ci->hi, 0.0);
+}
+
+// Bad arguments fail with the same codes on both paths, and before any
+// value is drawn: the generator is left where it was.
+TEST(BootstrapLawTest, BadArgumentsFailBeforeDrawing) {
+  const dist::GaussianDist gaussian(3.0, 4.0);
+  auto histogram = dist::HistogramDist::Make({0.0, 1.0, 2.0}, {0.5, 0.5});
+  ASSERT_TRUE(histogram.ok());
+  const std::vector<double> edges = {0.0, 1.0, 2.0};
+  struct Case {
+    const dist::Distribution* d;
+    std::span<const double> edges;
+  };
+  for (const Case& c : {Case{&gaussian, {}}, Case{&gaussian, edges},
+                        Case{&*histogram, {}}}) {
+    Rng rng(13);
+    EXPECT_TRUE(BootstrapAccuracyFromDistribution(*c.d, 0, 20, 0.9, rng,
+                                                  c.edges)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(BootstrapAccuracyFromDistribution(*c.d, 20, 1, 0.9, rng,
+                                                  c.edges)
+                    .status()
+                    .IsInvalidArgument());
+    for (double confidence : {0.0, 1.0, 1.5, -0.5, std::nan("")}) {
+      EXPECT_TRUE(BootstrapAccuracyFromDistribution(*c.d, 20, 20,
+                                                    confidence, rng, c.edges)
+                      .status()
+                      .IsInvalidArgument())
+          << confidence;
+    }
+    Rng untouched(13);
+    EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // byte for byte. Plus the reorder-aware crash-point sweep: for every
 // crash instant — including ones with tuples resident in the
 // ReorderBuffer — the recovered pipeline's output is bit-identical.
+// Bootstrap annotation above the revising windows folds the same way:
+// its intervals are a pure function of the annotated value.
 
 #include <unistd.h>
 
@@ -21,6 +23,8 @@
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
+#include "src/dist/histogram.h"
+#include "src/engine/accuracy_annotator.h"
 #include "src/engine/executor.h"
 #include "src/engine/recovery_manager.h"
 #include "src/engine/reorder_buffer.h"
@@ -113,15 +117,36 @@ std::vector<Tuple> OrderedStream(size_t count) {
   return tuples;
 }
 
+// The JSON of an output's aggregate value, followed by its accuracy
+// annotation when it carries one.
+std::string ValueAndAccuracyJson(const Tuple& t) {
+  std::string json = serde::ToJson(t.value(0));
+  if (!t.accuracy().empty() && t.accuracy()[0].has_value()) {
+    json += " _accuracy " + serde::ToJson(*t.accuracy()[0]);
+  }
+  return json;
+}
+
 // Folds a revision-mode output stream by window end, keeping the last
-// value JSON per end — the downstream consumer contract.
+// value (and `_accuracy`) JSON per end — the downstream consumer
+// contract.
 std::map<double, std::string> FoldByWindowEnd(
     const std::vector<Tuple>& outputs) {
   std::map<double, std::string> fold;
   for (const Tuple& t : outputs) {
-    fold[*t.value(1).double_value()] = serde::ToJson(t.value(0));
+    fold[*t.value(1).double_value()] = ValueAndAccuracyJson(t);
   }
   return fold;
+}
+
+// A bootstrap annotator above `plan` (the Gaussian sufficient-statistic
+// path; histogram fields take the printed algorithm).
+OperatorPtr BootstrapAnnotated(OperatorPtr plan) {
+  engine::AccuracyAnnotatorOptions ao;
+  ao.method = accuracy::AccuracyMethod::kBootstrap;
+  ao.bootstrap_resamples = 20;
+  ao.seed = 0xB0075ull;
+  return std::make_unique<engine::AccuracyAnnotator>(std::move(plan), ao);
 }
 
 TimeWindowOptions RevisionOptions() {
@@ -134,11 +159,13 @@ TimeWindowOptions RevisionOptions() {
 }
 
 // The full event-time pipeline under test: seeded disorder -> optional
-// async prefetch -> bounded-lateness reorder -> revising time window.
+// async prefetch -> bounded-lateness reorder -> revising time window ->
+// optional bootstrap annotator.
 Result<std::vector<Tuple>> RunDisordered(size_t count,
                                          const stream::DisorderSpec& spec,
                                          size_t queue_depth,
-                                         uint64_t* shed_late = nullptr) {
+                                         uint64_t* shed_late = nullptr,
+                                         bool annotate = false) {
   OperatorPtr plan = std::make_unique<VectorScan>(TsSchema(),
                                                   OrderedStream(count));
   plan = std::make_unique<stream::DisorderInjector>(std::move(plan), spec);
@@ -162,7 +189,9 @@ Result<std::vector<Tuple>> RunDisordered(size_t count,
       TimeWindowAggregate::Make(std::move(plan), "ts", "x", "a",
                                 RevisionOptions()));
   TimeWindowAggregate* agg_raw = agg.get();
-  AUSDB_ASSIGN_OR_RETURN(std::vector<Tuple> out, Collect(*agg));
+  OperatorPtr root = std::move(agg);
+  if (annotate) root = BootstrapAnnotated(std::move(root));
+  AUSDB_ASSIGN_OR_RETURN(std::vector<Tuple> out, Collect(*root));
   if (shed_late != nullptr) *shed_late = agg_raw->shed_late();
   return out;
 }
@@ -170,14 +199,16 @@ Result<std::vector<Tuple>> RunDisordered(size_t count,
 // In-bound shuffle plus beyond-bound late injections plus duplicates,
 // across prefetch queue depths {1, 2, 64}: every variant's fold equals
 // the in-order run's fold byte for byte.
-TEST(DisorderEquivalenceTest, FoldMatchesInOrderAcrossQueueDepths) {
+void ExpectFoldMatchesInOrderAcrossQueueDepths(bool annotate) {
   constexpr size_t kCount = 96;
 
   auto golden_agg = TimeWindowAggregate::Make(
       std::make_unique<VectorScan>(TsSchema(), OrderedStream(kCount)),
       "ts", "x", "a", RevisionOptions());
   ASSERT_TRUE(golden_agg.ok()) << golden_agg.status().ToString();
-  auto golden = Collect(**golden_agg);
+  OperatorPtr golden_root = std::move(*golden_agg);
+  if (annotate) golden_root = BootstrapAnnotated(std::move(golden_root));
+  auto golden = Collect(*golden_root);
   ASSERT_TRUE(golden.ok());
   const auto golden_fold = FoldByWindowEnd(*golden);
   ASSERT_EQ(golden_fold.size(), kCount);
@@ -192,7 +223,7 @@ TEST(DisorderEquivalenceTest, FoldMatchesInOrderAcrossQueueDepths) {
 
   for (size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{64}}) {
     uint64_t shed = 0;
-    auto out = RunDisordered(kCount, spec, depth, &shed);
+    auto out = RunDisordered(kCount, spec, depth, &shed, annotate);
     ASSERT_TRUE(out.ok()) << "depth " << depth << ": "
                           << out.status().ToString();
     EXPECT_EQ(shed, 0u) << "depth " << depth;
@@ -205,6 +236,126 @@ TEST(DisorderEquivalenceTest, FoldMatchesInOrderAcrossQueueDepths) {
       ASSERT_EQ(it->second, json)
           << "depth " << depth << ": window end " << end << " diverged";
     }
+  }
+}
+
+TEST(DisorderEquivalenceTest, FoldMatchesInOrderAcrossQueueDepths) {
+  ExpectFoldMatchesInOrderAcrossQueueDepths(/*annotate=*/false);
+}
+
+// The same with a bootstrap annotator above the revising time window,
+// `_accuracy` in the fold: a window end's final interval is the one
+// in-order delivery gives it, however many revisions were annotated
+// before it.
+TEST(DisorderEquivalenceTest, BootstrapAccuracyFoldMatchesInOrder) {
+  ExpectFoldMatchesInOrderAcrossQueueDepths(/*annotate=*/true);
+}
+
+// A bootstrap annotator above the revising count window. A count
+// window's result is identified by its contents, so the fold is keyed by
+// the aggregate value: every result the disordered run emits — first
+// emissions and revisions alike — carries the `_accuracy` bytes the
+// in-order run gives the same value.
+TEST(DisorderEquivalenceTest, BootstrapAccuracyOverCountWindowRevisions) {
+  constexpr size_t kCount = 96;
+  engine::WindowAggregateOptions wo;
+  wo.window_size = 4;
+  wo.emit_revisions = true;
+  const auto run = [&](OperatorPtr source) -> Result<std::vector<Tuple>> {
+    AUSDB_ASSIGN_OR_RETURN(
+        auto agg, engine::WindowAggregate::Make(std::move(source), "x", "a",
+                                                wo));
+    OperatorPtr root = BootstrapAnnotated(std::move(agg));
+    return Collect(*root);
+  };
+
+  auto golden = run(std::make_unique<VectorScan>(TsSchema(),
+                                                 OrderedStream(kCount)));
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  std::map<std::string, std::string> golden_fold;
+  for (const Tuple& t : *golden) {
+    ASSERT_TRUE(t.accuracy()[0].has_value());
+    golden_fold[serde::ToJson(t.value(0))] = serde::ToJson(*t.accuracy()[0]);
+  }
+  ASSERT_EQ(golden_fold.size(), kCount - wo.window_size + 1);
+
+  stream::DisorderSpec spec;
+  spec.max_displacement = 3;
+  spec.shuffle_probability = 0.8;
+  spec.seed = 0xc0de;
+  auto out = run(std::make_unique<stream::DisorderInjector>(
+      std::make_unique<VectorScan>(TsSchema(), OrderedStream(kCount)),
+      spec));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // A window emitted while a straggler was still missing has no in-order
+  // twin; its value may repeat later in the run, with the same bytes.
+  std::map<std::string, std::string> gapped;
+  size_t matched = 0, matched_revisions = 0, revisions = 0;
+  for (size_t i = 0; i < out->size(); ++i) {
+    const Tuple& t = (*out)[i];
+    ASSERT_TRUE(t.accuracy()[0].has_value());
+    const bool revision = *t.value(1).bool_value();
+    revisions += revision;
+    const std::string value = serde::ToJson(t.value(0));
+    const std::string accuracy = serde::ToJson(*t.accuracy()[0]);
+    const auto it = golden_fold.find(value);
+    if (it == golden_fold.end()) {
+      const auto [seen, fresh] = gapped.emplace(value, accuracy);
+      ASSERT_TRUE(fresh || seen->second == accuracy) << "output " << i;
+      continue;
+    }
+    ASSERT_EQ(accuracy, it->second)
+        << "output " << i << (revision ? " (revision)" : "");
+    ++matched;
+    matched_revisions += revision;
+  }
+  // The fold must be far from vacuous: revisions happen, and a good
+  // share of windows (revisions among them) meet their in-order twin.
+  EXPECT_GT(revisions, 0u);
+  EXPECT_GT(matched_revisions, 0u);
+  EXPECT_GE(matched, golden_fold.size() / 4);
+}
+
+// The printed-algorithm path (a histogram field): the same value
+// annotated as tuple 1 and as tuple 50 of a stream gets byte-identical
+// per-bin, mean and variance intervals.
+TEST(KeyedBootstrapStreamTest, HistogramIntervalsIgnoreStreamPosition) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddField({"x", FieldType::kUncertain}).ok());
+  const auto histogram = [](double shift) {
+    auto h = dist::HistogramDist::Make({0.0 + shift, 1.0 + shift,
+                                        2.0 + shift, 4.0 + shift},
+                                       {0.25, 0.5, 0.25});
+    AUSDB_CHECK(h.ok()) << h.status().ToString();
+    return Tuple({expr::Value(dist::RandomVar(
+        std::make_shared<dist::HistogramDist>(*h), 15))});
+  };
+  std::vector<Tuple> tuples = {histogram(0.0)};
+  for (size_t i = 1; i < 49; ++i) {
+    tuples.push_back(histogram(static_cast<double>(i)));
+  }
+  tuples.push_back(histogram(0.0));
+  ASSERT_EQ(tuples.size(), 50u);
+
+  for (const bool batched : {false, true}) {
+    OperatorPtr plan = BootstrapAnnotated(
+        std::make_unique<VectorScan>(schema, tuples));
+    std::vector<Tuple> out;
+    auto ran = engine::Run(*plan, {.batched = batched}, &out);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    ASSERT_EQ(out.size(), 50u);
+    const auto& first = out.front().accuracy()[0];
+    const auto& last = out.back().accuracy()[0];
+    ASSERT_TRUE(first.has_value() && last.has_value());
+    ASSERT_EQ(first->bin_cis.size(), 3u);
+    for (size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(serde::ToJson(first->bin_cis[k]),
+                serde::ToJson(last->bin_cis[k]))
+          << "bin " << k;
+    }
+    EXPECT_EQ(serde::ToJson(*first->mean_ci), serde::ToJson(*last->mean_ci));
+    EXPECT_EQ(serde::ToJson(*first->variance_ci),
+              serde::ToJson(*last->variance_ci));
   }
 }
 
@@ -293,6 +444,24 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
     }
     EXPECT_EQ((*pooled)->shed_late(), (*serial)->shed_late())
         << threads << " threads";
+  }
+}
+
+// A plan drained, Reset and drained again delivers the same intervals:
+// no bootstrap stream is left advanced by the first run.
+TEST(KeyedBootstrapStreamTest, ResetReplaysTheSameIntervals) {
+  OperatorPtr plan = BootstrapAnnotated(
+      std::make_unique<VectorScan>(TsSchema(), OrderedStream(8)));
+  auto first = Collect(*plan);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(plan->Reset().ok());
+  auto second = Collect(*plan);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(first->size(), second->size());
+  for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ(serde::ToJson((*first)[i], TsSchema()),
+              serde::ToJson((*second)[i], TsSchema()))
+        << "output " << i;
   }
 }
 
