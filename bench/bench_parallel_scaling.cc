@@ -1,29 +1,21 @@
 // Scaling of the parallel execution layer (google-benchmark): histogram
-// convolution, bootstrap resampling and an AQL GROUP BY window at thread
-// counts {0 = serial engine, 1, 2, 4, 8}. Thread count 0 runs
-// the no-pool serial path; 1 runs the same chunk decomposition through a
-// one-worker pool, so comparing the two rows isolates the pool's
-// dispatch overhead (the acceptance bar: within a few percent). The
-// window fans out only over two or more workers, so its 1-worker row
-// runs the serial path with the pool bound. Rows with more workers than
+// convolution and bootstrap resampling at thread counts
+// {0 = serial engine, 1, 2, 4, 8}. Thread count 0 runs the no-pool serial
+// path; 1 runs the same chunk decomposition through a one-worker pool, so
+// comparing the two rows isolates the pool's dispatch overhead (the
+// acceptance bar: within a few percent). Rows with more workers than
 // hardware cores measure oversubscription, not speedup.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/bootstrap/bootstrap_accuracy.h"
 #include "src/common/thread_pool.h"
 #include "src/dist/convolution.h"
-#include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
-#include "src/dist/learner.h"
-#include "src/engine/executor.h"
-#include "src/engine/scan.h"
-#include "src/query/planner.h"
 
 using namespace ausdb;
 
@@ -94,51 +86,6 @@ void BM_ParallelBootstrap(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelBootstrap)
     ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// --- AQL GROUP BY window over >= 1000 distinct keys, planned through
-// PlanQuery and drained in batches, fanned out over the pool.
-
-void BM_GroupByWindowDrain(benchmark::State& state) {
-  engine::Schema schema;
-  if (!schema.AddField({"k", engine::FieldType::kString}).ok() ||
-      !schema.AddField({"x", engine::FieldType::kUncertain}).ok()) {
-    state.SkipWithError("schema construction failed");
-    return;
-  }
-  const size_t kKeys = 1024;
-  const size_t kTuples = 32768;
-  std::vector<engine::Tuple> tuples;
-  tuples.reserve(kTuples);
-  for (size_t i = 0; i < kTuples; ++i) {
-    tuples.push_back(engine::Tuple(
-        {expr::Value("key" + std::to_string(i % kKeys)),
-         expr::Value(dist::RandomVar(
-             std::make_shared<dist::GaussianDist>(
-                 static_cast<double>(i % 211), 1.0 + (i % 7)),
-             20 + i % 30))}));
-  }
-  auto pool = MakePool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto plan = query::PlanQuery(
-        "SELECT AVG(x) OVER (ROWS 16) AS a FROM s GROUP BY k",
-        std::make_unique<engine::VectorScan>(schema, tuples));
-    if (!plan.ok()) {
-      state.SkipWithError("planning failed");
-      return;
-    }
-    auto n = engine::Run(**plan, {.batched = true, .pool = pool.get()});
-    if (!n.ok()) {
-      state.SkipWithError("drain failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*n);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kTuples));
-}
-BENCHMARK(BM_GroupByWindowDrain)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

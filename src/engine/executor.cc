@@ -5,10 +5,17 @@
 namespace ausdb {
 namespace engine {
 
-namespace {
+size_t DeterministicBatchSize(const Operator& plan) {
+  // ~4096 values per batch keeps a morsel inside L2 for typical tuple
+  // widths; the clamp bounds dispatch amortization (lower) and batch
+  // memory (upper). Depends only on the plan's output schema.
+  const size_t fields = std::max<size_t>(1, plan.schema().num_fields());
+  const size_t rows = 4096 / fields;
+  return std::clamp(rows, kMinBatchRows, kMaxBatchRows);
+}
 
-Result<size_t> Pull(Operator& root, const RunOptions& options,
-                    std::vector<Tuple>* rows) {
+Result<size_t> Run(Operator& root, const RunOptions& options,
+                   std::vector<Tuple>* rows) {
   size_t count = 0;
   if (!options.batched) {
     while (count < options.limit) {
@@ -30,32 +37,6 @@ Result<size_t> Pull(Operator& root, const RunOptions& options,
       for (Tuple& t : batch.rows()) rows->push_back(std::move(t));
     }
   }
-  return count;
-}
-
-}  // namespace
-
-size_t DeterministicBatchSize(const Operator& plan) {
-  // ~4096 values per batch keeps a morsel inside L2 for typical tuple
-  // widths; the clamp bounds dispatch amortization (lower) and batch
-  // memory (upper). Depends only on the plan's output schema.
-  const size_t fields = std::max<size_t>(1, plan.schema().num_fields());
-  const size_t rows = 4096 / fields;
-  return std::clamp(rows, kMinBatchRows, kMaxBatchRows);
-}
-
-Result<size_t> Run(Operator& root, const RunOptions& options,
-                   std::vector<Tuple>* rows) {
-  if (options.pool == nullptr) return Pull(root, options, rows);
-  if (!options.batched) {
-    return Status::InvalidArgument(
-        "a thread pool needs a batched run: Next() never fans out");
-  }
-  root.BindThreadPool(options.pool);
-  Result<size_t> count = Pull(root, options, rows);
-  // Unbind on every path so a failed run leaves no dangling pool pointer
-  // in the tree.
-  root.BindThreadPool(nullptr);
   return count;
 }
 

@@ -27,13 +27,6 @@ struct RunOptions {
   /// byte-identical (the batch contract), one virtual dispatch per batch.
   bool batched = false;
 
-  /// Bound to the plan for the run and unbound before Run returns, also
-  /// on error: parallel-aware operators (e.g. a grouped WindowAggregate)
-  /// fan each batch's work across its workers, with output bit-identical
-  /// to the scalar path at any pool size. Only NextBatch fans out, so a
-  /// pool requires `batched`.
-  ThreadPool* pool = nullptr;
-
   /// Stop once this many tuples are out: the scalar path makes no pull
   /// after the last one, the batched path asks for min(batch, remaining).
   size_t limit = std::numeric_limits<size_t>::max();
@@ -46,7 +39,7 @@ Result<size_t> Run(Operator& root, const RunOptions& options = {},
                    std::vector<Tuple>* rows = nullptr);
 
 /// \brief Every tuple of `root` through the scalar path: the reference
-/// output the batched, async and parallel paths are compared against.
+/// output the batched and async paths are compared against.
 Result<std::vector<Tuple>> Collect(Operator& root);
 
 }  // namespace engine

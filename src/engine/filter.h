@@ -53,9 +53,6 @@ class Filter final : public Operator {
   /// sequence, hence byte-identical output to the scalar path.
   Status NextBatch(size_t max_n, TupleBatch& out) override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   Status Close() override { return child_->Close(); }
 

@@ -55,10 +55,6 @@ class Limit final : public Operator {
     return child_->Reset();
   }
 
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
-
   Status Close() override {
     child_closed_ = true;
     return child_->Close();

@@ -83,12 +83,11 @@ class Operator {
     return Status::NotImplemented("operator does not support checkpoints");
   }
 
-  /// \brief Offers a worker pool to this operator and its subtree
-  /// (`nullptr` unbinds). Parallel-aware operators use the pool for
-  /// intra-operator data parallelism under the determinism contract —
-  /// output is bit-identical with or without a pool, at any thread
-  /// count. Operators with children must forward the binding; leaves
-  /// may ignore it. The pool must outlive the binding.
+  /// \brief A no-op kept for callers that still offer a worker pool:
+  /// no operator takes one and nothing forwards it. The engine runs a
+  /// query on the thread that pulls it; parallelism lives in the library
+  /// kernels (ConvolveHistograms, ResampleMany,
+  /// ParallelPercentileBootstrap) and the async prefetch pump.
   virtual void BindThreadPool(ThreadPool* pool) { (void)pool; }
 };
 

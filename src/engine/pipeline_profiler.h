@@ -114,10 +114,9 @@ class PipelineProfile {
 /// accounting each pull in its PipelineProfile slot — and, through the
 /// profile's mirror, in the MetricRegistry.
 ///
-/// Checkpoint/Reset/Close/BindThreadPool forward transparently, so a
-/// wrapped stateful operator still checkpoints. The wrapper is not a
-/// ReplayableSource; wrap above sources, not in place of them, when
-/// recovery is in play.
+/// Checkpoint/Reset/Close forward transparently, so a wrapped stateful
+/// operator still checkpoints. The wrapper is not a ReplayableSource;
+/// wrap above sources, not in place of them, when recovery is in play.
 class ProfiledOperator final : public Operator {
  public:
   /// One pull in every this many is timed (the first always is); the
@@ -144,9 +143,6 @@ class ProfiledOperator final : public Operator {
   }
   Status RestoreCheckpoint(std::string_view blob) override {
     return child_->RestoreCheckpoint(blob);
-  }
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
   }
 
  private:

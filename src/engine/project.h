@@ -44,9 +44,6 @@ class Project final : public Operator {
   /// arrival order (same evaluator state sequence as the scalar path).
   Status NextBatch(size_t max_n, TupleBatch& out) override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   Status Close() override { return child_->Close(); }
 

@@ -114,9 +114,6 @@ class ReorderBuffer final : public Operator,
   Result<std::optional<Tuple>> Next() override;
   Status Reset() override;
   Status Close() override { return child_->Close(); }
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   /// Checkpoints the watermark state and every buffered (and released-
   /// but-undelivered) tuple — checkpoint v4's new surface — so a crash

@@ -30,9 +30,6 @@ class Sort final : public Operator {
   const Schema& schema() const override { return child_->schema(); }
   Result<std::optional<Tuple>> Next() override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   Status Close() override { return child_->Close(); }
 

@@ -86,9 +86,6 @@ class TimeWindowAggregate final : public Operator {
   const Schema& schema() const override { return schema_; }
   Result<std::optional<Tuple>> Next() override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   Status Close() override { return child_->Close(); }
 

@@ -21,9 +21,6 @@ class UnionAll final : public Operator {
   }
   Result<std::optional<Tuple>> Next() override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    for (auto& child : children_) child->BindThreadPool(pool);
-  }
 
   Status Close() override {
     Status first = Status::OK();

@@ -2,27 +2,10 @@
 
 #include <algorithm>
 
-#include "src/common/thread_pool.h"
 #include "src/serde/checkpoint.h"
 
 namespace ausdb {
 namespace engine {
-
-namespace {
-
-// Platform-independent key hash (FNV-1a, 64-bit) assigning keys to pool
-// chunks. Any assignment keeps the output identical — each key lives in
-// exactly one chunk — but a fixed hash keeps the work split reproducible.
-uint64_t Fnv1a64(const std::string& key) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<WindowAggregate>> WindowAggregate::Make(
     OperatorPtr child, std::string column, std::string output_name,
@@ -76,15 +59,8 @@ WindowAggregate::WindowAggregate(OperatorPtr child, size_t column_index,
       schema_(std::move(out_schema)),
       options_(options) {}
 
-KeyWindowState* WindowAggregate::StateOf(std::string key) {
-  std::unique_ptr<KeyWindowState>& state = partitions_[std::move(key)];
-  if (state == nullptr) state = std::make_unique<KeyWindowState>();
-  return state.get();
-}
-
 Tuple WindowAggregate::EmissionTuple(
-    const Item& item, const KeyWindowState::Emission& emission) const {
-  const Tuple& in = input_.rows()[item.row];
+    const Tuple& in, const KeyWindowState::Emission& emission) const {
   std::vector<expr::Value> values;
   values.reserve(schema_.num_fields());
   if (key_index_.has_value()) values.push_back(in.value(*key_index_));
@@ -97,89 +73,36 @@ Tuple WindowAggregate::EmissionTuple(
   return out;
 }
 
-void WindowAggregate::BeginStaging(bool may_fan_out) {
-  // A grouped window fans out over a bound pool of two or more workers,
-  // one chunk per worker; otherwise its one chunk runs inline.
-  chunks_ = may_fan_out && key_index_.has_value() && pool_ != nullptr
-                ? pool_->thread_count()
-                : 1;
-  items_.clear();
-  chunk_results_.resize(chunks_);
-  for (std::vector<StepResult>& results : chunk_results_) results.clear();
-}
-
-Status WindowAggregate::Stage(std::span<const double> slice) {
-  // Serial: extract entries, find-or-insert each key's state and reserve
-  // each item's result slot in its chunk, so the partition map is only
-  // ever mutated on this thread. A row that fails stops staging; the
-  // rows before it stay staged, to be stepped before the error returns.
-  const std::vector<Tuple>& rows = input_.rows();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Tuple& t = rows[i];
+Status WindowAggregate::StepRows(std::span<const double> slice,
+                                 TupleBatch& out) {
+  for (size_t i = 0; i < input_.size(); ++i) {
+    const Tuple& t = input_.rows()[i];
     ++input_consumed_;
-    Item item;
-    item.row = i;
+    WindowEntry entry;
     if (i < slice.size()) {
-      item.entry.mean = slice[i];
-      item.entry.sample_size = dist::RandomVar::kCertainSampleSize;
+      entry.mean = slice[i];
+      entry.sample_size = dist::RandomVar::kCertainSampleSize;
     } else {
       AUSDB_ASSIGN_OR_RETURN(
-          item.entry, WindowEntryFromValue(t.value(column_index_),
-                                           options_.allow_clt_approximation));
+          entry, WindowEntryFromValue(t.value(column_index_),
+                                      options_.allow_clt_approximation));
     }
-    item.entry.sequence = t.sequence();
-    item.state = &single_;
+    entry.sequence = t.sequence();
+    KeyWindowState* state = &single_;
     if (key_index_.has_value()) {
       AUSDB_ASSIGN_OR_RETURN(std::string key,
                              PartitionKeyFromValue(t.value(*key_index_)));
-      if (chunks_ > 1) item.chunk = Fnv1a64(key) % chunks_;
-      item.state = StateOf(std::move(key));
+      state = &partitions_[std::move(key)];
     }
-    std::vector<StepResult>& results = chunk_results_[item.chunk];
-    item.slot = results.size();
-    results.emplace_back();
-    items_.push_back(std::move(item));
+    bool shed = false;
+    std::optional<KeyWindowState::Emission> emission =
+        state->Step(entry, options_, &shed);
+    if (shed) ++shed_late_;
+    if (emission.has_value()) {
+      out.rows().push_back(EmissionTuple(t, *emission));
+    }
   }
   return Status::OK();
-}
-
-void WindowAggregate::StepStaged(TupleBatch& out) {
-  // Parallel when fanned out: each chunk steps its keys' items in input
-  // order into its own result slots, so workers never write shared
-  // locations and each key's arithmetic is exactly the serial sequence.
-  // Output tuples are built serially below: allocating them on workers
-  // and freeing them downstream on the pulling thread costs more than
-  // the fan-out saves.
-  RunChunked(chunks_ > 1 ? pool_ : nullptr, chunks_, chunks_,
-             [&](size_t chunk, size_t, size_t) {
-               for (const Item& item : items_) {
-                 if (item.chunk != chunk) continue;
-                 StepResult& r = chunk_results_[chunk][item.slot];
-                 r.emission =
-                     item.state->Step(item.entry, options_, &r.shed);
-               }
-             });
-
-  // Serial: merge the emissions back in input order; the shed counter is
-  // summed here so it stays deterministic.
-  for (const Item& item : items_) {
-    const StepResult& r = chunk_results_[item.chunk][item.slot];
-    if (r.shed) ++shed_late_;
-    if (r.emission.has_value()) {
-      out.rows().push_back(EmissionTuple(item, *r.emission));
-    }
-  }
-}
-
-Status WindowAggregate::StageAndStep(bool may_fan_out,
-                                     std::span<const double> slice,
-                                     TupleBatch& out) {
-  BeginStaging(may_fan_out);
-  // Rows staged before a failing one are still stepped, as a serial pass
-  // would have, so input_consumed() never runs ahead of the windows.
-  const Status staged = Stage(slice);
-  StepStaged(out);
-  return staged;
 }
 
 Result<std::optional<Tuple>> WindowAggregate::Next() {
@@ -189,7 +112,7 @@ Result<std::optional<Tuple>> WindowAggregate::Next() {
     input_.Clear();
     input_.rows().push_back(std::move(*t));
     next_out_.Clear();
-    AUSDB_RETURN_NOT_OK(StageAndStep(/*may_fan_out=*/false, {}, next_out_));
+    AUSDB_RETURN_NOT_OK(StepRows({}, next_out_));
     if (!next_out_.empty()) {
       return std::optional<Tuple>(std::move(next_out_.rows().front()));
     }
@@ -212,7 +135,7 @@ Status WindowAggregate::NextBatch(size_t max_n, TupleBatch& out) {
       AUSDB_RETURN_NOT_OK(input_.GatherColumns(child_->schema()));
       slice = input_.Column(column_index_);
     }
-    AUSDB_RETURN_NOT_OK(StageAndStep(/*may_fan_out=*/true, slice, out));
+    AUSDB_RETURN_NOT_OK(StepRows(slice, out));
     if (!out.empty()) return Status::OK();
   }
 }
@@ -227,7 +150,7 @@ Status WindowAggregate::Reset() {
 
 Result<std::string> WindowAggregate::SaveCheckpoint() const {
   serde::CheckpointWriter w;
-  w.Token("wagg.v5");
+  w.Token("wagg.v6");
   w.Uint(static_cast<uint64_t>(options_.kind));
   w.Uint(static_cast<uint64_t>(options_.fn));
   w.Uint(options_.window_size);
@@ -240,7 +163,7 @@ Result<std::string> WindowAggregate::SaveCheckpoint() const {
   if (key_index_.has_value()) {
     states.reserve(partitions_.size());
     for (const auto& [key, state] : partitions_) {
-      states.emplace_back(key, state.get());
+      states.emplace_back(key, &state);
     }
     std::sort(states.begin(), states.end());
   } else {
@@ -271,7 +194,7 @@ Result<std::string> WindowAggregate::SaveCheckpoint() const {
 Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
   serde::CheckpointReader r(blob);
   AUSDB_ASSIGN_OR_RETURN(std::string version, r.NextToken());
-  if (version != "wagg.v5") {
+  if (version != "wagg.v6") {
     return Status::Corruption("unknown WindowAggregate checkpoint "
                               "version '" + version + "'");
   }
@@ -300,12 +223,11 @@ Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
     return Status::Corruption(
         "ungrouped WindowAggregate checkpoint must hold one partition");
   }
-  std::unordered_map<std::string, std::unique_ptr<KeyWindowState>> restored;
+  std::unordered_map<std::string, KeyWindowState> restored;
   restored.reserve(npartitions);
   for (uint64_t p = 0; p < npartitions; ++p) {
     AUSDB_ASSIGN_OR_RETURN(std::string key, r.NextBytes());
-    auto owned = std::make_unique<KeyWindowState>();
-    KeyWindowState& state = *owned;
+    KeyWindowState state;
     AUSDB_ASSIGN_OR_RETURN(double sum_mean, r.NextDouble());
     AUSDB_ASSIGN_OR_RETURN(double comp_mean, r.NextDouble());
     AUSDB_ASSIGN_OR_RETURN(double sum_variance, r.NextDouble());
@@ -330,7 +252,7 @@ Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
       state.window.push_back(e);
     }
     state.RebuildMinDeque();
-    if (!restored.emplace(std::move(key), std::move(owned)).second) {
+    if (!restored.emplace(std::move(key), std::move(state)).second) {
       return Status::Corruption(
           "WindowAggregate checkpoint repeats a partition key");
     }
@@ -338,7 +260,7 @@ Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
   if (key_index_.has_value()) {
     partitions_ = std::move(restored);
   } else {
-    single_ = std::move(*restored.begin()->second);
+    single_ = std::move(restored.begin()->second);
   }
   input_consumed_ = input_consumed;
   shed_late_ = shed_late;

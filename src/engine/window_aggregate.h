@@ -7,7 +7,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/engine/operator.h"
 #include "src/engine/window_state.h"
@@ -33,12 +32,9 @@ namespace engine {
 ///
 /// Next() steps one input at a time. NextBatch() pulls one child batch,
 /// steps it and returns its emissions, at most one per input (pulling
-/// again only when a batch emits nothing). With a pool of two or more
-/// workers bound, a grouped window fans the batch's stepping out by
-/// FNV-1a key hash, one chunk per pool worker, and merges the emissions
-/// back in input order. Each key's window is touched by exactly one
-/// chunk and steps its inputs in input order, so output is bit-identical
-/// with or without a pool, at any thread count.
+/// again only when a batch emits nothing). Both paths step every input,
+/// in input order, through its key's KeyWindowState on the pulling
+/// thread, so their output is byte-identical.
 class WindowAggregate final : public Operator {
  public:
   /// `column` must exist in the child schema and be kUncertain or
@@ -59,10 +55,6 @@ class WindowAggregate final : public Operator {
   /// byte-identical to the scalar path.
   Status NextBatch(size_t max_n, TupleBatch& out) override;
   Status Reset() override;
-  void BindThreadPool(ThreadPool* pool) override {
-    pool_ = pool;
-    child_->BindThreadPool(pool);
-  }
 
   Status Close() override { return child_->Close(); }
 
@@ -72,7 +64,7 @@ class WindowAggregate final : public Operator {
   /// bookkeeping; keys sorted, so equal states produce equal blobs) so a
   /// restarted pipeline resumes mid-window bit-for-bit. Emissions never
   /// outlive a pull, so no output is pending at a checkpoint. One format,
-  /// wagg.v5; blobs of any other version are rejected as corrupt.
+  /// wagg.v6; blobs of any other version are rejected as corrupt.
   Result<std::string> SaveCheckpoint() const override;
   Status RestoreCheckpoint(std::string_view blob) override;
 
@@ -95,46 +87,17 @@ class WindowAggregate final : public Operator {
                   std::optional<size_t> key_index, Schema out_schema,
                   WindowAggregateOptions options);
 
-  /// The state of `key` in a grouped window, inserted on first sight.
-  KeyWindowState* StateOf(std::string key);
-
-  /// One staged input: its window entry (carrying the input's sequence),
-  /// the state it steps, its row in `input_`, and its chunk and result
-  /// slot.
-  struct Item {
-    KeyWindowState* state = nullptr;
-    WindowEntry entry;
-    size_t row = 0;
-    size_t chunk = 0;
-    size_t slot = 0;  // index into chunk_results_[chunk]
-  };
-  struct StepResult {
-    std::optional<KeyWindowState::Emission> emission;
-    bool shed = false;
-  };
-
   /// The output tuple of `emission`, carrying the key and provenance of
-  /// `item`'s input row.
-  Tuple EmissionTuple(const Item& item,
+  /// its input row `in`.
+  Tuple EmissionTuple(const Tuple& in,
                       const KeyWindowState::Emission& emission) const;
 
-  /// Starts an empty stage, with one chunk per pool worker when
-  /// `may_fan_out`, the window is grouped and a pool is bound, else one
-  /// chunk. Two or more chunks fan out.
-  void BeginStaging(bool may_fan_out);
-  /// Stages the rows of `input_` on this thread: extracts their entries
-  /// (from `slice`, the gathered aggregate column, when not empty) and
-  /// finds or inserts their keys' states. Stops at the first failing row.
-  Status Stage(std::span<const double> slice);
-  /// Steps the staged items through their windows, fanned out over the
-  /// chunks, and appends their emissions to `out` in input order. Next()
-  /// stages one row at a time, so every pull path executes the single
-  /// update sequence.
-  void StepStaged(TupleBatch& out);
-  /// Stages `input_` and steps it into `out`. Rows staged before a
-  /// failing row are stepped before the error returns.
-  Status StageAndStep(bool may_fan_out, std::span<const double> slice,
-                      TupleBatch& out);
+  /// Steps the rows of `input_` in input order through their keys'
+  /// windows, taking the entries from `slice` (the gathered aggregate
+  /// column) when it is not empty, and appends their emissions to `out`.
+  /// Stops at the first failing row; every earlier row has been stepped,
+  /// so input_consumed() never runs ahead of the windows.
+  Status StepRows(std::span<const double> slice, TupleBatch& out);
 
   OperatorPtr child_;
   size_t column_index_;
@@ -142,24 +105,14 @@ class WindowAggregate final : public Operator {
   std::optional<size_t> key_index_;
   Schema schema_;
   WindowAggregateOptions options_;
-  ThreadPool* pool_ = nullptr;
   TupleBatch input_;     // scratch child batch, reused across pulls
   TupleBatch next_out_;  // Next()'s scratch emissions
 
-  /// The ungrouped window's state, or the per-key states. Per-key states
-  /// live apart from the map nodes, so pool workers stepping them never
-  /// share cache lines with the pulling thread's key lookups.
+  /// The ungrouped window's state, or the per-key states.
   KeyWindowState single_;
-  std::unordered_map<std::string, std::unique_ptr<KeyWindowState>>
-      partitions_;
+  std::unordered_map<std::string, KeyWindowState> partitions_;
   uint64_t input_consumed_ = 0;
   uint64_t shed_late_ = 0;
-
-  /// Staging scratch, reused across batches.
-  size_t chunks_ = 1;
-  std::vector<Item> items_;
-  /// Per chunk: one result slot per item, in input order.
-  std::vector<std::vector<StepResult>> chunk_results_;
 };
 
 }  // namespace engine

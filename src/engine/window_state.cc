@@ -1,6 +1,8 @@
 #include "src/engine/window_state.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "src/dist/gaussian.h"
 
@@ -36,7 +38,15 @@ Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
 Result<std::string> PartitionKeyFromValue(const expr::Value& v) {
   if (v.is_string()) return *v.string_value();
   AUSDB_ASSIGN_OR_RETURN(double kd, v.AsDouble());
-  return std::to_string(kd);
+  if (std::isnan(kd)) return Status::InvalidArgument("group-by key is NaN");
+  // Most significant byte first, so checkpoint blobs (keys sorted by
+  // byte) are the same on every host.
+  const uint64_t bits = std::bit_cast<uint64_t>(kd == 0.0 ? 0.0 : kd);
+  std::string key(sizeof(bits), '\0');
+  for (size_t i = 0; i < sizeof(bits); ++i) {
+    key[i] = static_cast<char>(bits >> (8 * (sizeof(bits) - 1 - i)));
+  }
+  return key;
 }
 
 dist::RandomVar KeyWindowState::Aggregate::ToRandomVar() const {

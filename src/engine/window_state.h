@@ -83,17 +83,20 @@ Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
                                          bool allow_clt_approximation);
 
 /// \brief Renders a deterministic group-by key value (string or double)
-/// as the partition-map key.
+/// as the partition-map key. A string is its own key. A double is keyed
+/// by its 8-byte bit pattern, most significant byte first, with -0.0
+/// folded into +0.0, so two doubles share a window exactly when they
+/// compare equal; a NaN key is InvalidArgument.
 Result<std::string> PartitionKeyFromValue(const expr::Value& v);
 
 /// \brief The count-based window state of one partition key (an
 /// ungrouped window is a single implicit key).
 ///
-/// WindowAggregate runs every window — grouped or not, serial or fanned
-/// out over a thread pool — through this one state, so every path
-/// executes the *identical* floating-point update sequence: the
-/// determinism contract (parallel output bit-identical to serial)
-/// depends on this being the single implementation.
+/// WindowAggregate runs every window, grouped or not, scalar or batched,
+/// through this one state, so every pull path executes the *identical*
+/// floating-point update sequence: the determinism contract (batched
+/// output bit-identical to scalar) depends on this being the single
+/// implementation.
 ///
 /// Running sums use Neumaier-compensated accumulation: the evict-subtract
 /// update otherwise drifts on long streams with mixed magnitudes (a

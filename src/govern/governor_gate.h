@@ -35,9 +35,6 @@ class GovernorGate final : public engine::Operator {
   Result<std::optional<engine::Tuple>> Next() override;
   Status Reset() override;
   Status Close() override { return child_->Close(); }
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   const OverloadGovernor& governor() const { return governor_; }
 

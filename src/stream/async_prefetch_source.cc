@@ -160,11 +160,6 @@ Status AsyncPrefetchSource::Close() {
   return child_->Close();
 }
 
-void AsyncPrefetchSource::BindThreadPool(ThreadPool* pool) {
-  pump_.Stop();
-  child_->BindThreadPool(pool);
-}
-
 // ---------------------------------------------------------------------
 // AsyncPrefetchReplayableSource
 
@@ -211,11 +206,6 @@ Status AsyncPrefetchReplayableSource::Close() {
   pump_.Stop();
   closed_ = true;
   return child_->Close();
-}
-
-void AsyncPrefetchReplayableSource::BindThreadPool(ThreadPool* pool) {
-  pump_.Stop();
-  child_->BindThreadPool(pool);
 }
 
 Status AsyncPrefetchReplayableSource::SeekTo(uint64_t position) {

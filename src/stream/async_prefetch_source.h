@@ -196,11 +196,6 @@ class AsyncPrefetchSource final : public engine::Operator,
   Status Reset() override;
   Status Close() override;
 
-  /// Binding (and unbinding) must happen outside an active pull
-  /// sequence; a running producer is stopped first, discarding
-  /// prefetched tuples.
-  void BindThreadPool(ThreadPool* pool) override;
-
   PrefetchStats stats() const { return pump_.stats(); }
 
   /// Consumer-side event-time watermark over options.watermark_column;
@@ -240,7 +235,6 @@ class AsyncPrefetchReplayableSource final : public engine::ReplayableSource,
   Result<std::optional<engine::Tuple>> Next() override;
   Status Reset() override;
   Status Close() override;
-  void BindThreadPool(ThreadPool* pool) override;
 
   uint64_t position() const override { return delivered_; }
   Status SeekTo(uint64_t position) override;

@@ -72,9 +72,6 @@ class DisorderInjector final : public engine::Operator {
   Result<std::optional<engine::Tuple>> Next() override;
   Status Reset() override;
   Status Close() override { return child_->Close(); }
-  void BindThreadPool(ThreadPool* pool) override {
-    child_->BindThreadPool(pool);
-  }
 
   const DisorderStats& stats() const { return stats_; }
 

@@ -1,8 +1,8 @@
 // Deterministic-equivalence harness for columnar batch execution: every
 // pipeline here runs once tuple-at-a-time (the golden run) and once
-// through NextBatch at the executor's deterministic batch size — under
-// thread pools of size {1, 4} and behind AsyncPrefetchSource at queue
-// depths {1, 2, 64} — and the serialized output bytes must be identical.
+// through NextBatch at the executor's deterministic batch size — directly
+// and behind AsyncPrefetchSource at queue depths {1, 2, 64} — and the
+// serialized output bytes must be identical.
 // Batching is an execution-strategy change, never a semantics change.
 
 #include <sstream>
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
 #include "src/engine/limit.h"
 #include "src/engine/pipeline_profiler.h"
@@ -28,7 +27,6 @@ namespace ausdb {
 namespace {
 
 constexpr size_t kDepths[] = {1, 2, 64};
-constexpr size_t kThreads[] = {1, 4};
 
 std::string Figure1Csv() {
   std::ostringstream csv;
@@ -57,23 +55,17 @@ std::string SerializeRows(const engine::Schema& schema,
 enum class Drive { kScalar, kBatch };
 
 // Runs `sql` over `scan`, pulling either tuple-at-a-time or through
-// NextBatch (with a pool of `threads` bound when non-zero), and serializes
-// every result surface into one byte string for exact comparison.
+// NextBatch, and serializes every result surface into one byte string for
+// exact comparison.
 std::string RunQueryBytes(const std::string& sql, engine::OperatorPtr scan,
-                          Drive drive, size_t threads = 0) {
+                          Drive drive) {
   auto plan = query::PlanQuery(sql, std::move(scan));
   EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
   if (!plan.ok()) return "<plan error>";
   std::vector<engine::Tuple> rows;
-  const Status ran = [&] {
-    engine::RunOptions options{.batched = drive != Drive::kScalar};
-    if (!options.batched || threads == 0) {
-      return engine::Run(**plan, options, &rows).status();
-    }
-    ThreadPool pool(threads);
-    options.pool = &pool;
-    return engine::Run(**plan, options, &rows).status();
-  }();
+  const Status ran =
+      engine::Run(**plan, {.batched = drive != Drive::kScalar}, &rows)
+          .status();
   EXPECT_TRUE(ran.ok()) << sql << ": " << ran.ToString();
   if (!ran.ok()) return "<exec error>";
   return SerializeRows((*plan)->schema(), rows);
@@ -105,8 +97,8 @@ class BatchEquivalenceTest : public ::testing::Test {
   }
 
   // The harness: one scalar golden run, then the batched run compared
-  // byte-exactly against it under thread counts {1, 4}, prefetch depths
-  // {1, 2, 64}, and an instrumented plan.
+  // byte-exactly against it, at prefetch depths {1, 2, 64}, and with an
+  // instrumented plan.
   void ExpectBatchEquivalent(const std::string& sql) {
     const std::string golden =
         RunQueryBytes(sql, SyncScan(), Drive::kScalar);
@@ -114,11 +106,6 @@ class BatchEquivalenceTest : public ::testing::Test {
 
     ASSERT_EQ(RunQueryBytes(sql, SyncScan(), Drive::kBatch), golden)
         << sql << " batched";
-    for (size_t threads : kThreads) {
-      ASSERT_EQ(RunQueryBytes(sql, SyncScan(), Drive::kBatch, threads),
-                golden)
-          << sql << " batched at " << threads << " threads";
-    }
     for (size_t depth : kDepths) {
       ASSERT_EQ(RunQueryBytes(sql, AsyncScan(depth), Drive::kBatch),
                 golden)

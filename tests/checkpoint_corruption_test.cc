@@ -198,11 +198,11 @@ TEST(CheckpointCorruptionTest, TokenLayerSurvivesEveryByteFlip) {
 }
 
 // A damaged count field must be rejected before it drives an
-// allocation: craft wagg.v5 blobs declaring 2^40 partitions, and 2^40
+// allocation: craft wagg.v6 blobs declaring 2^40 partitions, and 2^40
 // entries in one partition.
 serde::CheckpointWriter GroupedHeader() {
   serde::CheckpointWriter w;
-  w.Token("wagg.v5");
+  w.Token("wagg.v6");
   w.Uint(0);  // kind = sliding
   w.Uint(0);  // fn = avg
   w.Uint(3);  // window size

@@ -21,7 +21,6 @@
 
 #include "src/common/fault_injector.h"
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
 #include "src/engine/accuracy_annotator.h"
@@ -385,9 +384,9 @@ TEST(DisorderEquivalenceTest, SeededDisorderIsReplayable) {
   }
 }
 
-// Grouped revision mode under seeded sequence disorder, batched with pools
-// of {1, 4} threads bound (4 fans out): output is byte-identical to the
-// grouped window stepped serially on the same disordered stream.
+// Grouped revision mode under seeded sequence disorder, batched: output
+// is byte-identical to the grouped window stepped tuple at a time on the
+// same disordered stream.
 TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   Schema keyed;
   ASSERT_TRUE(keyed.AddField({"key", FieldType::kString}).ok());
@@ -405,7 +404,7 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   stream::DisorderSpec spec;
   spec.max_displacement = 6;
   spec.seed = 0xfeed;
-  // Materialize the disordered delivery once so the serial and pooled
+  // Materialize the disordered delivery once so the scalar and batched
   // runs see the identical stream.
   stream::DisorderInjector injector(
       std::make_unique<VectorScan>(keyed, tuples), spec);
@@ -426,25 +425,20 @@ TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
   ASSERT_FALSE(golden->empty());
 
   const Schema& schema = (*serial)->schema();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto pooled = engine::WindowAggregate::Make(
-        std::make_unique<PreservingScan>(keyed, *disordered), "x", "a", wo,
-        "key");
-    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-    ThreadPool pool(threads);
-    std::vector<Tuple> out;
-    auto ran =
-        engine::Run(**pooled, {.batched = true, .pool = &pool}, &out);
-    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    ASSERT_EQ(out.size(), golden->size()) << threads << " threads";
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(serde::ToJson(out[i], schema),
-                serde::ToJson((*golden)[i], schema))
-          << "output " << i << " at " << threads << " threads";
-    }
-    EXPECT_EQ((*pooled)->shed_late(), (*serial)->shed_late())
-        << threads << " threads";
+  auto batched = engine::WindowAggregate::Make(
+      std::make_unique<PreservingScan>(keyed, *disordered), "x", "a", wo,
+      "key");
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  std::vector<Tuple> out;
+  auto ran = engine::Run(**batched, {.batched = true}, &out);
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  ASSERT_EQ(out.size(), golden->size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(serde::ToJson(out[i], schema),
+              serde::ToJson((*golden)[i], schema))
+        << "output " << i;
   }
+  EXPECT_EQ((*batched)->shed_late(), (*serial)->shed_late());
 }
 
 // A plan drained, Reset and drained again delivers the same intervals:

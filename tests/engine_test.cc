@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/learner.h"
 #include "src/engine/accuracy_annotator.h"
@@ -350,8 +349,7 @@ TEST(ExecutorTest, DrainAndCollectLimit) {
 }
 
 // A leaf of `rows` one-field tuples that records every NextBatch size it
-// is asked for and every pool binding it receives, and fails once
-// `fail_after` rows are out.
+// is asked for, and fails once `fail_after` rows are out.
 class RecordingLeaf final : public Operator {
  public:
   RecordingLeaf(size_t rows, size_t fail_after)
@@ -370,11 +368,9 @@ class RecordingLeaf final : public Operator {
     asked_.push_back(max_n);
     return Operator::NextBatch(max_n, out);
   }
-  void BindThreadPool(ThreadPool* pool) override { bindings_.push_back(pool); }
 
   size_t emitted() const { return emitted_; }
   const std::vector<size_t>& asked() const { return asked_; }
-  const std::vector<ThreadPool*>& bindings() const { return bindings_; }
 
  private:
   Schema schema_;
@@ -382,7 +378,6 @@ class RecordingLeaf final : public Operator {
   size_t fail_after_;
   size_t emitted_ = 0;
   std::vector<size_t> asked_;
-  std::vector<ThreadPool*> bindings_;
 };
 
 TEST(ExecutorTest, BatchedLimitNeverAsksForMoreThanRemains) {
@@ -408,29 +403,14 @@ TEST(ExecutorTest, BatchedLimitNeverAsksForMoreThanRemains) {
   EXPECT_TRUE(none.asked().empty());
 }
 
-TEST(ExecutorTest, PoolIsUnboundAfterAFailedRun) {
-  ThreadPool pool(2);
+// A failed batched run returns the leaf's error; the batches delivered
+// before it stay in `rows`.
+TEST(ExecutorTest, BatchedRunKeepsBatchesBeforeAFailure) {
   RecordingLeaf leaf(5000, /*fail_after=*/1500);
   std::vector<Tuple> rows;
-  auto failed = engine::Run(leaf, {.batched = true, .pool = &pool}, &rows);
+  auto failed = engine::Run(leaf, {.batched = true}, &rows);
   EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
-  EXPECT_EQ(leaf.bindings(), (std::vector<ThreadPool*>{&pool, nullptr}));
-  EXPECT_EQ(rows.size(), kMaxBatchRows);  // the batch before the failure
-
-  RecordingLeaf ok_leaf(30, SIZE_MAX);
-  auto ok = engine::Run(ok_leaf, {.batched = true, .pool = &pool});
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(*ok, 30u);
-  EXPECT_EQ(ok_leaf.bindings(), (std::vector<ThreadPool*>{&pool, nullptr}));
-}
-
-TEST(ExecutorTest, PoolWithoutBatchedIsRejected) {
-  ThreadPool pool(2);
-  RecordingLeaf leaf(30, SIZE_MAX);
-  auto run = engine::Run(leaf, {.pool = &pool});
-  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
-  EXPECT_TRUE(leaf.bindings().empty());
-  EXPECT_EQ(leaf.emitted(), 0u);
+  EXPECT_EQ(rows.size(), kMaxBatchRows);
 }
 
 }  // namespace

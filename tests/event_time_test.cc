@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/memory_budget.h"
-#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
 #include "src/govern/ladder.h"
@@ -851,8 +850,7 @@ TEST(CountWindowRevisionTest, RevisionModeRejectsTumblingWindows) {
 }
 
 // The same disordered keyed stream through the grouped window stepped
-// serially and batched with pools of 1 and 4 threads bound (4 fans out):
-// revision outputs must be bit-identical everywhere.
+// tuple at a time and batched: revision outputs must be bit-identical.
 TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
   std::vector<Tuple> tuples;
   const std::vector<std::string> keys = {"k0", "k1", "k2"};
@@ -881,23 +879,20 @@ TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
   EXPECT_TRUE(any_revision);
 
   const Schema& schema = (*serial)->schema();
-  for (size_t threads : {1u, 4u}) {
-    auto pooled = engine::WindowAggregate::Make(
-        std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a",
-        wo, "key");
-    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-    ThreadPool pool(threads);
-    std::vector<Tuple> out;
-    auto ran = engine::Run(**pooled, {.batched = true, .pool = &pool}, &out);
-    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    ASSERT_EQ(out.size(), golden->size()) << threads << " threads";
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(serde::ToJson(out[i], schema),
-                serde::ToJson((*golden)[i], schema))
-          << "output " << i << " at " << threads << " threads";
-    }
-    EXPECT_EQ((*pooled)->shed_late(), 0u);
+  auto batched = engine::WindowAggregate::Make(
+      std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a", wo,
+      "key");
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  std::vector<Tuple> out;
+  auto ran = engine::Run(**batched, {.batched = true}, &out);
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  ASSERT_EQ(out.size(), golden->size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(serde::ToJson(out[i], schema),
+              serde::ToJson((*golden)[i], schema))
+        << "output " << i;
   }
+  EXPECT_EQ((*batched)->shed_late(), 0u);
 }
 
 TEST(CountWindowRevisionTest, CheckpointV4RoundTrip) {

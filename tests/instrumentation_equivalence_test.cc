@@ -336,9 +336,8 @@ TEST_F(InstrumentationEquivalenceTest,
 }
 
 // ---------------------------------------------------------------------
-// Thread-count sweep: the grouped window pipeline under
-// a pooled batched Run, instrumented vs not, at {1, 4} workers — all runs
-// bit-identical.
+// The grouped window pipeline under a batched Run, instrumented vs not:
+// both runs bit-identical to the tuple-at-a-time golden.
 
 engine::Schema KeyedSchema() {
   engine::Schema s;
@@ -395,44 +394,39 @@ TEST(InstrumentationThreadSweepTest, ShardedWindowBitIdenticalAtAllCounts) {
     return engine::Profile(std::move(*agg), "window", profile, clock);
   };
 
-  // Golden: no pool, no metrics.
+  // Golden: tuple at a time, no metrics.
   auto plain = make_plan(nullptr);
   auto reference = engine::Collect(*plain);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::string golden = WindowBytes(*reference);
   ASSERT_FALSE(golden.empty());
 
-  for (size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
+  const engine::RunOptions batched{.batched = true};
+  auto uninstrumented = make_plan(nullptr);
+  std::vector<engine::Tuple> rows_off;
+  auto ran = engine::Run(*uninstrumented, batched, &rows_off);
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_EQ(WindowBytes(rows_off), golden);
 
-    const engine::RunOptions pooled{.batched = true, .pool = &pool};
-    auto uninstrumented = make_plan(nullptr);
-    std::vector<engine::Tuple> rows_off;
-    auto ran = engine::Run(*uninstrumented, pooled, &rows_off);
-    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    EXPECT_EQ(WindowBytes(rows_off), golden) << threads << " threads";
+  obs::MetricRegistry registry;
+  engine::PipelineProfile profile(&registry);
+  auto instrumented = make_plan(&profile);
+  std::vector<engine::Tuple> rows_on;
+  ran = engine::Run(*instrumented, batched, &rows_on);
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_EQ(WindowBytes(rows_on), golden) << "metrics on";
 
-    obs::MetricRegistry registry;
-    engine::PipelineProfile profile(&registry);
-    auto instrumented = make_plan(&profile);
-    std::vector<engine::Tuple> rows_on;
-    ran = engine::Run(*instrumented, pooled, &rows_on);
-    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    EXPECT_EQ(WindowBytes(rows_on), golden)
-        << threads << " threads, metrics on";
-
-    // Both wrapper layers saw the full stream.
-    uint64_t scan_tuples = 0, window_tuples = 0;
-    for (const auto& c : registry.Snapshot().counters) {
-      if (c.key.name != "ausdb_engine_tuples_total") continue;
-      for (const auto& l : c.key.labels) {
-        if (l.value == "scan") scan_tuples = c.value;
-        if (l.value == "window") window_tuples = c.value;
-      }
+  // Both wrapper layers saw the full stream.
+  uint64_t scan_tuples = 0, window_tuples = 0;
+  for (const auto& c : registry.Snapshot().counters) {
+    if (c.key.name != "ausdb_engine_tuples_total") continue;
+    for (const auto& l : c.key.labels) {
+      if (l.value == "scan") scan_tuples = c.value;
+      if (l.value == "window") window_tuples = c.value;
     }
-    EXPECT_EQ(scan_tuples, input.size());
-    EXPECT_EQ(window_tuples, reference->size());
   }
+  EXPECT_EQ(scan_tuples, input.size());
+  EXPECT_EQ(window_tuples, reference->size());
 }
 
 }  // namespace

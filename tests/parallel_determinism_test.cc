@@ -1,7 +1,8 @@
-// The parallel execution layer's determinism contract: for any thread
-// count (including the serial no-pool engine), parallel plans produce
-// bit-identical output. These tests compare byte-for-byte — doubles via
-// their IEEE-754 bit patterns, never via tolerances.
+// The determinism contract: the pool-aware library kernels produce
+// bit-identical output at any thread count (including no pool), and the
+// grouped window produces the same bits whichever way it is pulled.
+// These tests compare byte-for-byte — doubles via their IEEE-754 bit
+// patterns, never via tolerances.
 
 #include <bit>
 #include <cstdint>
@@ -80,50 +81,36 @@ WindowAggregateOptions WindowOpts() {
   return opts;
 }
 
-// The grouped window pulled tuple at a time (no pool), or in batches
-// with `pool` bound (fanned out when it has two or more workers).
-Result<std::vector<Tuple>> RunGrouped(const std::vector<Tuple>& input,
-                                      ThreadPool* pool) {
+// The grouped window pulled tuple at a time.
+Result<std::vector<Tuple>> RunGrouped(const std::vector<Tuple>& input) {
   auto scan = std::make_unique<VectorScan>(KeyedSchema(), input);
   AUSDB_ASSIGN_OR_RETURN(auto agg,
                          WindowAggregate::Make(std::move(scan), "x", "agg",
                                                WindowOpts(), "k"));
-  std::vector<Tuple> out;
-  const RunOptions options{.batched = pool != nullptr, .pool = pool};
-  AUSDB_RETURN_NOT_OK(engine::Run(*agg, options, &out).status());
-  return out;
+  return Collect(*agg);
 }
 
 TEST(ParallelDeterminismTest, ShardedWindowMatchesSerialOperatorBitwise) {
   const std::vector<Tuple> input = KeyedInput(2000);
 
   // The serial reference: tuple-at-a-time pulls.
-  auto reference = RunGrouped(input, nullptr);
+  auto reference = RunGrouped(input);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_FALSE(reference->empty());
 
-  // Batched without a pool, then with pools of {1, 2, 8} threads (2 and 8
-  // fan out): all byte-identical to the reference.
+  // Batched: byte-identical to the reference.
   auto scan = std::make_unique<VectorScan>(KeyedSchema(), input);
   auto batched = WindowAggregate::Make(std::move(scan), "x", "agg",
                                        WindowOpts(), "k");
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  std::vector<Tuple> no_pool;
-  auto ran = engine::Run(**batched, {.batched = true}, &no_pool);
+  std::vector<Tuple> rows;
+  auto ran = engine::Run(**batched, {.batched = true}, &rows);
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-  ExpectBitIdentical(no_pool, *reference);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    auto out = RunGrouped(input, &pool);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    ExpectBitIdentical(*out, *reference);
-  }
+  ExpectBitIdentical(rows, *reference);
 }
 
-// An AQL GROUP BY window planned through PlanQuery: tuple-at-a-time,
-// batched, and batched with pools of 1 and 4 workers bound (4 fans the
-// window out) all deliver the same bits, for sliding and tumbling
-// windows.
+// An AQL GROUP BY window planned through PlanQuery: tuple-at-a-time and
+// batched pulls deliver the same bits, for sliding and tumbling windows.
 TEST(AqlGroupByParallelTest, PlannedWindowBitIdenticalAcrossPullModes) {
   const std::vector<Tuple> input = KeyedInput(3000);
   for (const char* kind : {"", " TUMBLE"}) {
@@ -143,21 +130,14 @@ TEST(AqlGroupByParallelTest, PlannedWindowBitIdenticalAcrossPullModes) {
     auto ran = engine::Run(*plan(), {.batched = true}, &batched);
     ASSERT_TRUE(ran.ok()) << ran.status().ToString();
     ExpectBitIdentical(batched, *reference);
-    for (size_t threads : {1u, 4u}) {
-      ThreadPool pool(threads);
-      std::vector<Tuple> pooled;
-      ran = engine::Run(*plan(), {.batched = true, .pool = &pool}, &pooled);
-      ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-      ExpectBitIdentical(pooled, *reference);
-    }
   }
 }
 
 // A row the window cannot aggregate (a histogram without the CLT
 // approximation) in the middle of a batch: the rows before it are
 // stepped, emitted and counted exactly as a tuple-at-a-time pull steps
-// them, pooled or not, so a checkpoint taken after the error resumes at
-// the right input.
+// them, so a checkpoint taken after the error resumes at the right
+// input.
 TEST(ParallelDeterminismTest, FailingRowLeavesEarlierRowsStepped) {
   std::vector<Tuple> input = KeyedInput(300);
   auto histogram = dist::LearnHistogram(
@@ -195,32 +175,25 @@ TEST(ParallelDeterminismTest, FailingRowLeavesEarlierRowsStepped) {
     auto reference_blob = serial->SaveCheckpoint();
     ASSERT_TRUE(reference_blob.ok());
 
-    for (size_t threads : {4u, 1u, 0u}) {
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-      auto batched = make();
-      if (pool) batched->BindThreadPool(pool.get());
-      TupleBatch out;
-      // One batch covers the whole input, so the bad row fails it.
-      const Status st = batched->NextBatch(input.size(), out);
-      ASSERT_TRUE(st.IsNotImplemented()) << st.ToString();
-      if (grouped) {
-        ExpectBitIdentical(out.rows(), reference);
-      } else {
-        ASSERT_EQ(out.size(), reference.size());
-        for (size_t i = 0; i < out.size(); ++i) {
-          EXPECT_EQ(Bits(out.rows()[i].value(0).random_var()->Mean()),
-                    Bits(reference[i].value(0).random_var()->Mean()));
-        }
+    auto batched = make();
+    TupleBatch out;
+    // One batch covers the whole input, so the bad row fails it.
+    const Status st = batched->NextBatch(input.size(), out);
+    ASSERT_TRUE(st.IsNotImplemented()) << st.ToString();
+    if (grouped) {
+      ExpectBitIdentical(out.rows(), reference);
+    } else {
+      ASSERT_EQ(out.size(), reference.size());
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(Bits(out.rows()[i].value(0).random_var()->Mean()),
+                  Bits(reference[i].value(0).random_var()->Mean()));
       }
-      EXPECT_EQ(batched->input_consumed(), bad_row + 1)
-          << threads << " threads";
-      auto blob = batched->SaveCheckpoint();
-      ASSERT_TRUE(blob.ok());
-      EXPECT_EQ(*blob, *reference_blob)
-          << (grouped ? "grouped, " : "ungrouped, ") << threads
-          << " threads";
     }
+    EXPECT_EQ(batched->input_consumed(), bad_row + 1);
+    auto blob = batched->SaveCheckpoint();
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(*blob, *reference_blob)
+        << (grouped ? "grouped" : "ungrouped");
   }
 }
 
@@ -329,7 +302,7 @@ TEST(ParallelDeterminismTest, ShardedCheckpointRestoreResumesMidStream) {
   const std::vector<Tuple> input = KeyedInput(1500);
 
   // Reference: one uninterrupted serial run.
-  auto reference = RunGrouped(input, nullptr);
+  auto reference = RunGrouped(input);
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->size(), 400u);
 
@@ -351,17 +324,15 @@ TEST(ParallelDeterminismTest, ShardedCheckpointRestoreResumesMidStream) {
   ASSERT_GT(consumed, 150u);
   ASSERT_LT(consumed, input.size());
 
-  // Restore into a fresh operator over a re-seeked source, resume with a
-  // pool of 8 (restore must be thread-count-independent too).
+  // Restore into a fresh operator over a re-seeked source and resume in
+  // batches.
   auto restored = WindowAggregate::Make(
       std::make_unique<SuffixScan>(KeyedSchema(), input, consumed), "x",
       "agg", WindowOpts(), "k");
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE((*restored)->RestoreCheckpoint(*blob).ok());
-  ThreadPool pool(8);
   std::vector<Tuple> stitched = std::move(before);
-  auto after =
-      engine::Run(**restored, {.batched = true, .pool = &pool}, &stitched);
+  auto after = engine::Run(**restored, {.batched = true}, &stitched);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectBitIdentical(stitched, *reference);
 }

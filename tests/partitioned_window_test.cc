@@ -1,6 +1,7 @@
 #include "src/engine/window_aggregate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <utility>
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/learner.h"
 #include "src/engine/executor.h"
@@ -228,18 +228,83 @@ TEST(WindowMinDfTest, RepeatedSequencesGrouped) {
   const std::vector<size_t> expected = BruteForceMinDf(all, 4, true);
   ASSERT_EQ(expected, (std::vector<size_t>{10, 5, 5, 5, 5, 3, 7}));
 
-  for (size_t threads : {0u, 1u, 4u}) {
+  for (bool batched : {false, true}) {
     auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
                                      "avg", {.window_size = 4}, "road");
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     std::vector<Tuple> out;
-    const RunOptions options{.batched = pool != nullptr, .pool = pool.get()};
-    auto ran = engine::Run(**agg, options, &out);
+    auto ran = engine::Run(**agg, {.batched = batched}, &out);
     ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    EXPECT_EQ(EmittedDf(out, 1), expected) << threads << " threads";
+    EXPECT_EQ(EmittedDf(out, 1), expected) << "batched " << batched;
   }
+}
+
+Schema DoubleKeyedSchema() {
+  Schema s;
+  EXPECT_TRUE(s.AddField({"k", FieldType::kDouble}).ok());
+  EXPECT_TRUE(s.AddField({"x", FieldType::kDouble}).ok());
+  return s;
+}
+
+std::vector<double> EmittedSums(const std::vector<Tuple>& rows) {
+  std::vector<double> sums;
+  for (const Tuple& t : rows) sums.push_back(t.value(1).random_var()->Mean());
+  return sums;
+}
+
+// Double keys share a window exactly when they compare equal: 0.1 and
+// 0.1000001 (equal to six decimals) and 1e-7 and 0.0 stay apart, and
+// -0.0 joins 0.0. The windows survive a checkpoint.
+TEST(PartitionedWindowTest, DoubleKeysGroupByValue) {
+  const std::vector<Tuple> tuples = {
+      Tuple({expr::Value(0.1), expr::Value(1.0)}),
+      Tuple({expr::Value(0.1000001), expr::Value(2.0)}),
+      Tuple({expr::Value(1e-7), expr::Value(3.0)}),
+      Tuple({expr::Value(0.0), expr::Value(4.0)}),
+      Tuple({expr::Value(-0.0), expr::Value(5.0)}),
+  };
+  const WindowAggregateOptions opts{
+      .window_size = 3, .fn = WindowAggFn::kSum, .emit_partial = true};
+  for (bool batched : {false, true}) {
+    auto agg = WindowAggregate::Make(
+        std::make_unique<VectorScan>(DoubleKeyedSchema(), tuples), "x",
+        "sum", opts, "k");
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    std::vector<Tuple> out;
+    ASSERT_TRUE(engine::Run(**agg, {.batched = batched}, &out).ok());
+    EXPECT_EQ(EmittedSums(out), (std::vector<double>{1, 2, 3, 4, 9}))
+        << "batched " << batched;
+    EXPECT_EQ((*agg)->partition_count(), 4u);
+
+    auto blob = (*agg)->SaveCheckpoint();
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    const std::vector<Tuple> more = {
+        Tuple({expr::Value(0.0), expr::Value(6.0)}),
+        Tuple({expr::Value(0.1), expr::Value(10.0)}),
+    };
+    auto restored = WindowAggregate::Make(
+        std::make_unique<VectorScan>(DoubleKeyedSchema(), more), "x", "sum",
+        opts, "k");
+    ASSERT_TRUE(restored.ok());
+    ASSERT_TRUE((*restored)->RestoreCheckpoint(*blob).ok());
+    EXPECT_EQ((*restored)->partition_count(), 4u);
+    auto resumed = Collect(**restored);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(EmittedSums(*resumed), (std::vector<double>{15, 11}));
+  }
+}
+
+TEST(PartitionedWindowTest, NanKeyRejected) {
+  const std::vector<Tuple> tuples = {
+      Tuple({expr::Value(1.0), expr::Value(1.0)}),
+      Tuple({expr::Value(std::nan("")), expr::Value(2.0)}),
+  };
+  auto agg = WindowAggregate::Make(
+      std::make_unique<VectorScan>(DoubleKeyedSchema(), tuples), "x", "avg",
+      {.window_size = 1}, "k");
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  auto out = Collect(**agg);
+  EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status().ToString();
 }
 
 TEST(GroupByQueryTest, EndToEndSql) {
