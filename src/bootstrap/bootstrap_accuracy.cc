@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/bootstrap/resampler.h"
-#include "src/common/thread_pool.h"
 #include "src/dist/learner.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/percentile.h"
@@ -143,10 +142,10 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
                             std::move(variances));
 }
 
-Result<accuracy::ConfidenceInterval> ParallelPercentileBootstrap(
+Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
     std::span<const double> sample, size_t num_resamples, double confidence,
     const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng, ThreadPool* pool) {
+    Rng& rng) {
   if (sample.empty()) {
     return Status::InsufficientData("cannot bootstrap an empty sample");
   }
@@ -156,21 +155,13 @@ Result<accuracy::ConfidenceInterval> ParallelPercentileBootstrap(
   if (!(confidence > 0.0 && confidence < 1.0)) {
     return Status::InvalidArgument("confidence must be in (0,1)");
   }
-  // Per-resample seeds drawn serially so the fan-out cannot influence
-  // the draws; statistic values land in per-resample slots, making the
-  // interval identical at any thread count.
-  std::vector<uint64_t> seeds(num_resamples);
-  for (uint64_t& s : seeds) s = rng.NextUint64();
   std::vector<double> stat_values(num_resamples);
-  RunChunked(pool, num_resamples, DeterministicChunkCount(num_resamples),
-             [&](size_t, size_t begin, size_t end) {
-               std::vector<double> buffer(sample.size());
-               for (size_t i = begin; i < end; ++i) {
-                 Rng child(seeds[i]);
-                 ResampleInto(sample, buffer, child);
-                 stat_values[i] = statistic(buffer);
-               }
-             });
+  std::vector<double> buffer(sample.size());
+  for (double& value : stat_values) {
+    Rng child(rng.NextUint64());
+    ResampleInto(sample, buffer, child);
+    value = statistic(buffer);
+  }
   return PercentileInterval(std::move(stat_values), confidence);
 }
 

@@ -12,9 +12,6 @@
 #include "src/dist/distribution.h"
 
 namespace ausdb {
-
-class ThreadPool;
-
 namespace bootstrap {
 
 /// \brief The paper's Algorithm BOOTSTRAP-ACCURACY-INFO (Section III-B).
@@ -51,29 +48,15 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
     const dist::Distribution& d, size_t n, size_t num_resamples,
     double confidence, Rng& rng, std::span<const double> bin_edges = {});
 
-/// \brief Parallel percentile bootstrap of an arbitrary statistic:
-/// resamples `sample` (same size, with replacement) `num_resamples`
-/// times and returns the percentile interval of `statistic` over the
-/// resamples. The resamples run across `pool`'s workers, each on its own
-/// Rng stream seeded from a per-resample seed drawn serially from `rng`.
-///
-/// Deterministic at any thread count — same seed, same interval, with
-/// or without a pool. `statistic` must be thread-safe (pure).
-Result<accuracy::ConfidenceInterval> ParallelPercentileBootstrap(
-    std::span<const double> sample, size_t num_resamples, double confidence,
-    const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng, ThreadPool* pool = nullptr);
-
 /// \brief Classic single-sample percentile bootstrap, for source-data
-/// accuracy and for the grouping ablation: ParallelPercentileBootstrap
-/// run inline, with no pool.
-inline Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
+/// accuracy and for the grouping ablation: resamples `sample` (same
+/// size, with replacement) `num_resamples` times and returns the
+/// percentile interval of `statistic` over the resamples. Resample i
+/// draws from its own Rng stream, seeded by the i-th draw of `rng`.
+Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
     std::span<const double> sample, size_t num_resamples, double confidence,
     const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng) {
-  return ParallelPercentileBootstrap(sample, num_resamples, confidence,
-                                     statistic, rng);
-}
+    Rng& rng);
 
 }  // namespace bootstrap
 }  // namespace ausdb

@@ -7,9 +7,6 @@
 #include "src/common/rng.h"
 
 namespace ausdb {
-
-class ThreadPool;
-
 namespace bootstrap {
 
 /// \brief Draws a bootstrap resample: `size` draws uniformly at random
@@ -27,19 +24,6 @@ inline std::vector<double> Resample(std::span<const double> sample,
 /// allocation in hot loops such as the throughput benchmarks.
 void ResampleInto(std::span<const double> sample, std::span<double> out,
                   Rng& rng);
-
-/// \brief Draws `count` independent same-size resamples, optionally
-/// fanned across `pool`.
-///
-/// Each resample i gets its own Rng stream seeded from a per-resample
-/// seed drawn serially from `parent` (SplitMix64-expanded, so the
-/// streams are uncorrelated), and results land in slot i — the output
-/// is therefore identical at any thread count, including pool == null.
-/// Note the sequence differs from `count` serial Resample() calls on
-/// one shared stream; both are valid bootstrap draws.
-std::vector<std::vector<double>> ResampleMany(
-    std::span<const double> sample, size_t count, Rng& parent,
-    ThreadPool* pool = nullptr);
 
 }  // namespace bootstrap
 }  // namespace ausdb

@@ -15,8 +15,7 @@ namespace ausdb {
 /// Result<T> is implicitly constructible from both T and Status, so
 /// functions can `return value;` on success and `return
 /// Status::InvalidArgument(...)` on failure. Inspect with ok() / status(),
-/// and extract with ValueOrDie() (asserts), operator* / operator->, or
-/// MoveValueUnsafe().
+/// and extract with ValueOrDie() (asserts) or operator* / operator->.
 template <typename T>
 class Result {
  public:
@@ -54,9 +53,6 @@ class Result {
 
   const T* operator->() const { return &ValueOrDie(); }
   T* operator->() { return &ValueOrDie(); }
-
-  /// Moves the value out without checking ok(); caller must have checked.
-  T MoveValueUnsafe() { return std::move(*value_); }
 
   /// Returns the value if ok(), otherwise `fallback`.
   T ValueOr(T fallback) const {

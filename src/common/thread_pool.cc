@@ -65,28 +65,4 @@ void ThreadPool::ParallelFor(
   work_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-size_t DeterministicChunkCount(size_t n) {
-  // Enough chunks to keep any realistic worker count busy with decent
-  // load balance, few enough that per-chunk state (e.g. a private output
-  // histogram) stays cheap. Purely a function of n.
-  if (n == 0) return 1;
-  return std::clamp<size_t>(n / 16, 1, 64);
-}
-
-void RunChunked(ThreadPool* pool, size_t n, size_t num_chunks,
-                const std::function<void(size_t, size_t, size_t)>& fn) {
-  AUSDB_CHECK(num_chunks > 0) << "RunChunked needs at least one chunk";
-  if (n == 0) return;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, num_chunks, fn);
-    return;
-  }
-  num_chunks = std::min(num_chunks, n);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = n * c / num_chunks;
-    const size_t end = n * (c + 1) / num_chunks;
-    fn(c, begin, end);
-  }
-}
-
 }  // namespace ausdb

@@ -11,16 +11,11 @@
 
 namespace ausdb {
 
-/// \brief Fixed-size worker pool for deterministic data parallelism.
+/// \brief Fixed-size worker pool with a statically chunked ParallelFor.
 ///
-/// AUSDB's accuracy guarantees only survive parallelization if a parallel
-/// run is bit-identical to a serial one, so the pool is used exclusively
-/// through *static chunking*: work is split into a fixed number of
-/// contiguous chunks whose boundaries depend only on the problem size
-/// (never on the thread count), each chunk accumulates into private
-/// state, and the caller merges chunk results in chunk-index order.
-/// Under that discipline the floating-point operation tree is invariant
-/// across thread counts, including the no-pool serial fallback.
+/// No engine operator or library kernel takes a pool: a query runs on
+/// the thread that pulls it. The pool remains for callers that still
+/// construct one and hand it to Operator::BindThreadPool, a no-op.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -54,19 +49,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// \brief Deterministic chunk count for a problem of size n: a pure
-/// function of n (never of the machine), so the merge tree — and hence
-/// the floating-point result — is reproducible everywhere.
-size_t DeterministicChunkCount(size_t n);
-
-/// \brief Runs the statically chunked loop on `pool`, or inline in chunk
-/// order when `pool` is null (the serial engine). Both paths execute the
-/// identical chunk decomposition, which is what makes the serial and
-/// parallel results bit-identical.
-void RunChunked(ThreadPool* pool, size_t n, size_t num_chunks,
-                const std::function<void(size_t chunk_index, size_t begin,
-                                         size_t end)>& fn);
 
 }  // namespace ausdb
 

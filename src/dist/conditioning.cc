@@ -232,9 +232,5 @@ Result<DistributionPtr> ConditionGreater(const Distribution& d, double c) {
   return ConditionBetween(d, c, kInf);
 }
 
-Result<DistributionPtr> ConditionAtMost(const Distribution& d, double c) {
-  return ConditionBetween(d, -kInf, c);
-}
-
 }  // namespace dist
 }  // namespace ausdb

@@ -26,9 +26,6 @@ Result<DistributionPtr> ConditionBetween(const Distribution& d, double lo,
 /// Condition on X > c.
 Result<DistributionPtr> ConditionGreater(const Distribution& d, double c);
 
-/// Condition on X <= c.
-Result<DistributionPtr> ConditionAtMost(const Distribution& d, double c);
-
 }  // namespace dist
 }  // namespace ausdb
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/dist/kernels.h"
 
 namespace ausdb {
@@ -38,6 +38,13 @@ PointCloud Discretize(const HistogramDist& h, size_t s) {
     }
   }
   return points;
+}
+
+// Deposit chunk count for n outer point masses: a pure function of n,
+// so the merge tree, and with it every output bit, is the same on every
+// machine.
+size_t DeterministicChunkCount(size_t n) {
+  return std::clamp<size_t>(n / 16, 1, 64);
 }
 
 bool AllEdgesFinite(const HistogramDist& h) {
@@ -94,31 +101,25 @@ Result<HistogramDist> ConvolveHistograms(const HistogramDist& x,
   // Cloud-in-cell assignment: each point mass splits linearly between
   // the two output bins whose midpoints bracket it, which keeps the
   // result's mean exact and halves the CDF discretization bias of
-  // nearest-bin assignment. The outer-point loop is tiled into chunks
-  // whose boundaries depend only on the input size; each chunk deposits
-  // into a private accumulator via the two-pass CicDepositTiled kernel
+  // nearest-bin assignment. The outer points are tiled into chunks whose
+  // boundaries depend only on the input size; each chunk deposits into a
+  // private accumulator via the two-pass CicDepositTiled kernel
   // (index/weight computation vectorizes, the scatter replays in scalar
-  // order) and the partials are merged in chunk order, so the result is
-  // bit-identical at any thread count (including the no-pool serial
-  // path).
-  const size_t num_chunks = DeterministicChunkCount(px.values.size());
-  std::vector<std::vector<double>> partials(num_chunks);
-  RunChunked(options.pool, px.values.size(), num_chunks,
-             [&](size_t chunk, size_t begin, size_t end) {
-               std::vector<double>& probs = partials[chunk];
-               probs.assign(bins, 0.0);
-               CicDepositTiled(
-                   std::span<const double>(px.values)
-                       .subspan(begin, end - begin),
-                   std::span<const double>(px.masses)
-                       .subspan(begin, end - begin),
-                   py.values, py.masses, lo, inv_step, probs);
-             });
-
+  // order) and the partials are summed in chunk order.
+  const size_t n = px.values.size();
+  const size_t num_chunks = DeterministicChunkCount(n);
+  const std::span<const double> values(px.values);
+  const std::span<const double> masses(px.masses);
   std::vector<double> probs(bins, 0.0);
+  std::vector<double> partial(bins);
   for (size_t c = 0; c < num_chunks; ++c) {
-    if (partials[c].empty()) continue;  // chunk count exceeded px size
-    for (size_t i = 0; i < bins; ++i) probs[i] += partials[c][i];
+    const size_t begin = n * c / num_chunks;
+    const size_t end = n * (c + 1) / num_chunks;
+    std::fill(partial.begin(), partial.end(), 0.0);
+    CicDepositTiled(values.subspan(begin, end - begin),
+                    masses.subspan(begin, end - begin), py.values,
+                    py.masses, lo, inv_step, partial);
+    for (size_t i = 0; i < bins; ++i) probs[i] += partial[i];
   }
   return HistogramDist::Make(std::move(edges), std::move(probs));
 }

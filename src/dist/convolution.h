@@ -5,9 +5,6 @@
 #include "src/dist/histogram.h"
 
 namespace ausdb {
-
-class ThreadPool;
-
 namespace dist {
 
 /// Options of ConvolveHistograms.
@@ -19,12 +16,6 @@ struct ConvolveOptions {
   /// uniform mass. Higher = closer to the exact piecewise-quadratic
   /// convolution at quadratic cost in the subdivision count.
   size_t subdivisions = 4;
-
-  /// Optional worker pool: the point-mass deposit loop is tiled into
-  /// statically sized chunks with per-chunk accumulators merged in chunk
-  /// order, so the result is bit-identical with or without a pool, at
-  /// any thread count.
-  ThreadPool* pool = nullptr;
 };
 
 /// \brief Distribution of X + Y for independent histogram-distributed X

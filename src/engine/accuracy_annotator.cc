@@ -259,7 +259,6 @@ Status AccuracyAnnotator::NextBatch(size_t max_n, TupleBatch& out) {
   for (Tuple& t : out.rows()) {
     AUSDB_RETURN_NOT_OK(AnnotateTuple(t));
   }
-  out.InvalidateColumns();
   return Status::OK();
 }
 

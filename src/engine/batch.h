@@ -1,29 +1,18 @@
 #ifndef AUSDB_ENGINE_BATCH_H_
 #define AUSDB_ENGINE_BATCH_H_
 
-#include <span>
 #include <vector>
 
-#include "src/common/result.h"
-#include "src/engine/schema.h"
 #include "src/engine/tuple.h"
 
 namespace ausdb {
 namespace engine {
 
-/// \brief A morsel of tuples pulled through Operator::NextBatch — row
-/// storage plus an optional struct-of-arrays view over the numeric
-/// attributes.
+/// \brief A morsel of tuples pulled through Operator::NextBatch.
 ///
-/// The rows are the source of truth: they carry every field (strings,
-/// random variables, membership probabilities, accuracy annotations)
-/// exactly as the tuple-at-a-time path would. GatherColumns() additionally
-/// materializes each kDouble field of a schema as one contiguous double
-/// array, which is what lets the per-batch inner loops (CDF evaluation,
-/// window-entry extraction, threshold predicates) run over flat spans the
-/// compiler can auto-vectorize instead of chasing row pointers. Column
-/// slices are a *copy-out* view — mutate rows, not slices; slices are
-/// invalidated by any row mutation and rebuilt by the next Gather.
+/// The rows carry every field (strings, random variables, membership
+/// probabilities, accuracy annotations) exactly as the tuple-at-a-time
+/// path would.
 class TupleBatch {
  public:
   TupleBatch() = default;
@@ -34,43 +23,13 @@ class TupleBatch {
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
 
-  /// Drops all rows and column slices; keeps capacity for reuse across
-  /// pulls (batches are pulled in a hot loop — no per-batch allocation
-  /// once the pipeline has warmed up).
-  void Clear() {
-    rows_.clear();
-    InvalidateColumns();
-  }
-
-  /// \brief Builds one contiguous double slice per kDouble field of
-  /// `schema` from the current rows. Rows whose value at a kDouble field
-  /// is not a double (schema violation) fail with TypeError. Idempotent
-  /// until InvalidateColumns()/Clear().
-  Status GatherColumns(const Schema& schema);
-
-  /// True when GatherColumns has run for the current rows.
-  bool columns_gathered() const { return gathered_; }
-
-  /// The gathered slice of field `field_index`, one double per row, or an
-  /// empty span when the field was not gathered (non-double field, or
-  /// GatherColumns not called).
-  std::span<const double> Column(size_t field_index) const;
-
-  /// Forgets the SoA view (call after mutating rows).
-  void InvalidateColumns() {
-    gathered_ = false;
-    for (auto& s : slices_) s.values.clear();
-  }
+  /// Drops all rows; keeps capacity for reuse across pulls (batches are
+  /// pulled in a hot loop — no per-batch allocation once the pipeline
+  /// has warmed up).
+  void Clear() { rows_.clear(); }
 
  private:
-  struct Slice {
-    size_t field_index;
-    std::vector<double> values;
-  };
-
   std::vector<Tuple> rows_;
-  std::vector<Slice> slices_;
-  bool gathered_ = false;
 };
 
 }  // namespace engine

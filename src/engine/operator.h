@@ -84,10 +84,9 @@ class Operator {
   }
 
   /// \brief A no-op kept for callers that still offer a worker pool:
-  /// no operator takes one and nothing forwards it. The engine runs a
-  /// query on the thread that pulls it; parallelism lives in the library
-  /// kernels (ConvolveHistograms, ResampleMany,
-  /// ParallelPercentileBootstrap) and the async prefetch pump.
+  /// no operator or library kernel takes one. The engine runs a query on
+  /// the thread that pulls it; the only other thread is the async
+  /// prefetch pump.
   virtual void BindThreadPool(ThreadPool* pool) { (void)pool; }
 };
 

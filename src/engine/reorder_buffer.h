@@ -103,8 +103,7 @@ struct ReorderStats {
 /// reordered any more; they pass through immediately (counted late) for
 /// the downstream window to revise within its allowed-lateness horizon.
 /// At end of stream the buffer flushes in event-time order.
-class ReorderBuffer final : public Operator,
-                            public stream::WatermarkProvider {
+class ReorderBuffer final : public Operator {
  public:
   static Result<std::unique_ptr<ReorderBuffer>> Make(
       OperatorPtr child, std::string timestamp_column,
@@ -124,11 +123,6 @@ class ReorderBuffer final : public Operator,
   Status RestoreCheckpoint(std::string_view blob) override;
 
   ~ReorderBuffer() override;
-
-  /// Output watermark downstream operators may trust: no future tuple
-  /// this buffer *releases in order* has a timestamp at or below it.
-  /// Governed early releases raise it past the policy watermark.
-  double CurrentWatermark() const override { return EffectiveWatermark(); }
 
   const ReorderStats& stats() const { return stats_; }
 

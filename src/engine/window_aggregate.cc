@@ -53,8 +53,6 @@ WindowAggregate::WindowAggregate(OperatorPtr child, size_t column_index,
                                  WindowAggregateOptions options)
     : child_(std::move(child)),
       column_index_(column_index),
-      column_is_double_(child_->schema().field(column_index).type ==
-                        FieldType::kDouble),
       key_index_(key_index),
       schema_(std::move(out_schema)),
       options_(options) {}
@@ -73,20 +71,13 @@ Tuple WindowAggregate::EmissionTuple(
   return out;
 }
 
-Status WindowAggregate::StepRows(std::span<const double> slice,
-                                 TupleBatch& out) {
-  for (size_t i = 0; i < input_.size(); ++i) {
-    const Tuple& t = input_.rows()[i];
+Status WindowAggregate::StepRows(TupleBatch& out) {
+  for (const Tuple& t : input_.rows()) {
     ++input_consumed_;
-    WindowEntry entry;
-    if (i < slice.size()) {
-      entry.mean = slice[i];
-      entry.sample_size = dist::RandomVar::kCertainSampleSize;
-    } else {
-      AUSDB_ASSIGN_OR_RETURN(
-          entry, WindowEntryFromValue(t.value(column_index_),
-                                      options_.allow_clt_approximation));
-    }
+    AUSDB_ASSIGN_OR_RETURN(
+        WindowEntry entry,
+        WindowEntryFromValue(t.value(column_index_),
+                             options_.allow_clt_approximation));
     entry.sequence = t.sequence();
     KeyWindowState* state = &single_;
     if (key_index_.has_value()) {
@@ -112,7 +103,7 @@ Result<std::optional<Tuple>> WindowAggregate::Next() {
     input_.Clear();
     input_.rows().push_back(std::move(*t));
     next_out_.Clear();
-    AUSDB_RETURN_NOT_OK(StepRows({}, next_out_));
+    AUSDB_RETURN_NOT_OK(StepRows(next_out_));
     if (!next_out_.empty()) {
       return std::optional<Tuple>(std::move(next_out_.rows().front()));
     }
@@ -127,15 +118,7 @@ Status WindowAggregate::NextBatch(size_t max_n, TupleBatch& out) {
   for (;;) {
     AUSDB_RETURN_NOT_OK(child_->NextBatch(max_n, input_));
     if (input_.empty()) return Status::OK();
-    // Columnar entry extraction: a deterministic double column arrives
-    // as one contiguous slice — the window entries {v, 0, certain} come
-    // out of a flat array pass instead of per-row Value dispatch.
-    std::span<const double> slice;
-    if (column_is_double_) {
-      AUSDB_RETURN_NOT_OK(input_.GatherColumns(child_->schema()));
-      slice = input_.Column(column_index_);
-    }
-    AUSDB_RETURN_NOT_OK(StepRows(slice, out));
+    AUSDB_RETURN_NOT_OK(StepRows(out));
     if (!out.empty()) return Status::OK();
   }
 }

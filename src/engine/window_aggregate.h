@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -48,11 +47,8 @@ class WindowAggregate final : public Operator {
 
   const Schema& schema() const override { return schema_; }
   Result<std::optional<Tuple>> Next() override;
-  /// Native batch pull. For a deterministic (kDouble) aggregate column
-  /// the window entries are extracted from the batch's gathered column
-  /// slice — a flat array pass — instead of per-row Value dispatch; the
-  /// entry values are identical by construction, so output stays
-  /// byte-identical to the scalar path.
+  /// Native batch pull: steps the child batch's rows exactly as Next()
+  /// steps them one at a time, so output is byte-identical to it.
   Status NextBatch(size_t max_n, TupleBatch& out) override;
   Status Reset() override;
 
@@ -93,15 +89,13 @@ class WindowAggregate final : public Operator {
                       const KeyWindowState::Emission& emission) const;
 
   /// Steps the rows of `input_` in input order through their keys'
-  /// windows, taking the entries from `slice` (the gathered aggregate
-  /// column) when it is not empty, and appends their emissions to `out`.
+  /// windows and appends their emissions to `out`.
   /// Stops at the first failing row; every earlier row has been stepped,
   /// so input_consumed() never runs ahead of the windows.
-  Status StepRows(std::span<const double> slice, TupleBatch& out);
+  Status StepRows(TupleBatch& out);
 
   OperatorPtr child_;
   size_t column_index_;
-  bool column_is_double_ = false;
   std::optional<size_t> key_index_;
   Schema schema_;
   WindowAggregateOptions options_;

@@ -169,7 +169,8 @@ struct KeyWindowState {
  private:
   /// A min-deque element: a window entry's d.f. and its position in
   /// this key's insertion order. Eviction matches the position, never
-  /// the source sequence, which may repeat (UNION ALL of two sources).
+  /// the source sequence, which may repeat (two concatenated feeds that
+  /// each number their tuples from 0).
   struct MinSlot {
     uint64_t position;
     size_t sample_size;

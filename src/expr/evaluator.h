@@ -89,9 +89,6 @@ class Evaluator {
 
   const EvalOptions& options() const { return options_; }
 
-  /// Reseeds the internal generator (for reproducible reruns).
-  void Reseed(uint64_t seed) { rng_.Seed(seed); }
-
  private:
   using Substitution = std::unordered_map<std::string, double>;
 

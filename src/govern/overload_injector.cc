@@ -92,29 +92,5 @@ std::vector<OverloadPhase> OverloadInjector::SaturationScript(
   return {pinned};
 }
 
-std::vector<OverloadPhase> OverloadInjector::SlowConsumerScript(
-    size_t epochs) {
-  OverloadPhase slow;
-  slow.epochs = epochs;
-  slow.queue_fill = 0.3;
-  slow.latency_ratio = 1.5;
-  return {slow};
-}
-
-std::vector<OverloadPhase> OverloadInjector::BudgetExhaustionScript(
-    size_t epochs) {
-  // Three steps ramping the budget toward its limit.
-  const size_t step = std::max<size_t>(1, epochs / 3);
-  OverloadPhase low, mid, high;
-  low.epochs = step;
-  low.memory_fill = 0.4;
-  mid.epochs = step;
-  mid.memory_fill = 0.7;
-  high.epochs = epochs - 2 * step;
-  high.memory_fill = 0.97;
-  if (high.epochs == 0) high.epochs = 1;
-  return {low, mid, high};
-}
-
 }  // namespace govern
 }  // namespace ausdb

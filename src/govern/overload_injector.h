@@ -68,14 +68,6 @@ class OverloadInjector final : public SignalSource {
   /// held long enough, a breaker trip.
   static std::vector<OverloadPhase> SaturationScript(size_t epochs);
 
-  /// Latency creeping past the SLO while queues stay modest — the
-  /// slow-consumer shape (latency pressure dominates).
-  static std::vector<OverloadPhase> SlowConsumerScript(size_t epochs);
-
-  /// Memory fill ramping toward the budget limit — the signal mix that
-  /// should escalate before kResourceExhausted ever fires.
-  static std::vector<OverloadPhase> BudgetExhaustionScript(size_t epochs);
-
  private:
   struct Segment {
     uint64_t first_epoch;  ///< first epoch this phase covers

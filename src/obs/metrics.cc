@@ -60,10 +60,6 @@ std::vector<double> DefaultLatencySecondsBoundaries() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
 }
 
-std::vector<double> DefaultSizeBytesBoundaries() {
-  return {64.0, 2048.0, 65536.0, 2097152.0, 67108864.0};
-}
-
 std::vector<double> DefaultEventTimeLagBoundaries() {
   return {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0};
 }

@@ -106,9 +106,6 @@ class Histogram {
 /// Default latency boundaries (seconds): 1us .. 10s, log-spaced-ish.
 std::vector<double> DefaultLatencySecondsBoundaries();
 
-/// Default size boundaries (bytes): 64B .. 64MB, powers of 32.
-std::vector<double> DefaultSizeBytesBoundaries();
-
 /// Default event-time lag boundaries (timestamp units, not wall clock):
 /// 1e-3 .. 1e3, decades. Used by the reorder buffer's arrival-lag
 /// histogram, whose unit is whatever the stream's timestamp column uses.

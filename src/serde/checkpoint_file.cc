@@ -198,10 +198,6 @@ std::string CheckpointStorage::GenerationPath(uint64_t generation) const {
   return directory_ + "/" + prefix_ + "." + buf + ".ckpt";
 }
 
-std::string CheckpointStorage::TempPath() const {
-  return directory_ + "/" + prefix_ + ".ckpt";
-}
-
 std::vector<uint64_t> CheckpointStorage::ListGenerations() const {
   std::vector<uint64_t> generations;
   std::error_code ec;

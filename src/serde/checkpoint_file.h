@@ -119,8 +119,6 @@ class CheckpointStorage {
   const std::string& directory() const { return directory_; }
 
  private:
-  std::string TempPath() const;
-
   std::string directory_;
   std::string prefix_;
   CheckpointStorageOptions options_;

@@ -128,9 +128,7 @@ PrefetchStats PrefetchPump::stats() const {
 
 AsyncPrefetchSource::AsyncPrefetchSource(engine::OperatorPtr child,
                                          AsyncPrefetchOptions options)
-    : child_(std::move(child)), pump_(child_.get(), options) {
-  watermark_.Configure(options, child_->schema());
-}
+    : child_(std::move(child)), pump_(child_.get(), options) {}
 
 AsyncPrefetchSource::~AsyncPrefetchSource() { (void)Close(); }
 
@@ -138,10 +136,7 @@ Result<std::optional<engine::Tuple>> AsyncPrefetchSource::Next() {
   if (closed_) {
     return Status::Cancelled("AsyncPrefetchSource: Next after Close");
   }
-  AUSDB_RETURN_NOT_OK(watermark_.status);
-  AUSDB_ASSIGN_OR_RETURN(std::optional<engine::Tuple> t, pump_.Next());
-  if (t.has_value()) watermark_.Observe(*t);
-  return std::optional<engine::Tuple>(std::move(t));
+  return pump_.Next();
 }
 
 Status AsyncPrefetchSource::Reset() {
@@ -149,7 +144,6 @@ Status AsyncPrefetchSource::Reset() {
     return Status::Cancelled("AsyncPrefetchSource: Reset after Close");
   }
   pump_.Stop();
-  watermark_.policy.Reset();
   return child_->Reset();
 }
 
@@ -166,9 +160,7 @@ Status AsyncPrefetchSource::Close() {
 AsyncPrefetchReplayableSource::AsyncPrefetchReplayableSource(
     std::unique_ptr<engine::ReplayableSource> child,
     AsyncPrefetchOptions options)
-    : child_(std::move(child)), pump_(child_.get(), options) {
-  watermark_.Configure(options, child_->schema());
-}
+    : child_(std::move(child)), pump_(child_.get(), options) {}
 
 AsyncPrefetchReplayableSource::~AsyncPrefetchReplayableSource() {
   (void)Close();
@@ -180,12 +172,8 @@ AsyncPrefetchReplayableSource::Next() {
     return Status::Cancelled(
         "AsyncPrefetchReplayableSource: Next after Close");
   }
-  AUSDB_RETURN_NOT_OK(watermark_.status);
   AUSDB_ASSIGN_OR_RETURN(std::optional<engine::Tuple> t, pump_.Next());
-  if (t.has_value()) {
-    ++delivered_;
-    watermark_.Observe(*t);
-  }
+  if (t.has_value()) ++delivered_;
   return std::optional<engine::Tuple>(std::move(t));
 }
 
@@ -197,7 +185,6 @@ Status AsyncPrefetchReplayableSource::Reset() {
   pump_.Stop();
   AUSDB_RETURN_NOT_OK(child_->Reset());
   delivered_ = 0;
-  watermark_.policy.Reset();
   return Status::OK();
 }
 
@@ -218,8 +205,6 @@ Status AsyncPrefetchReplayableSource::SeekTo(uint64_t position) {
   pump_.Stop();
   AUSDB_RETURN_NOT_OK(child_->SeekTo(position));
   delivered_ = position;
-  // The replay will re-advance the watermark deterministically.
-  watermark_.policy.Reset();
   return Status::OK();
 }
 

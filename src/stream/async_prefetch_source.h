@@ -10,7 +10,6 @@
 #include "src/common/bounded_queue.h"
 #include "src/engine/replayable.h"
 #include "src/obs/metrics.h"
-#include "src/stream/watermark.h"
 
 namespace ausdb {
 namespace stream {
@@ -33,15 +32,6 @@ struct AsyncPrefetchOptions {
   /// or off. The registry must outlive the source.
   obs::MetricRegistry* metrics = nullptr;
   std::string metrics_label = "prefetch";
-
-  /// When non-empty, the wrapper tracks a bounded-out-of-orderness
-  /// watermark over this (deterministic double) timestamp column,
-  /// observed on the CONSUMER side at delivery — a pure function of the
-  /// delivered tuple sequence, so CurrentWatermark() after the N-th
-  /// Next() is identical at every queue depth and never reflects how
-  /// far the producer has read ahead.
-  std::string watermark_column;
-  double watermark_bound = 0.0;
 };
 
 /// Observability counters of a prefetching source. Timing-dependent
@@ -62,34 +52,6 @@ struct PrefetchStats {
 };
 
 namespace internal {
-
-/// Consumer-side watermark state shared by both prefetch wrappers: the
-/// configured column is resolved against the child schema once, then
-/// every *delivered* tuple advances the policy. A resolution failure is
-/// deferred to the first Next() (construction is non-failable).
-struct ConsumerWatermark {
-  void Configure(const AsyncPrefetchOptions& options,
-                 const engine::Schema& schema) {
-    policy = WatermarkPolicy(WatermarkPolicyOptions{options.watermark_bound});
-    if (options.watermark_column.empty()) return;
-    Result<size_t> idx = schema.IndexOf(options.watermark_column);
-    if (idx.ok()) {
-      index = *idx;
-    } else {
-      status = idx.status();
-    }
-  }
-
-  void Observe(const engine::Tuple& t) {
-    if (!index.has_value() || *index >= t.num_values()) return;
-    Result<double> ts = t.value(*index).AsDouble();
-    if (ts.ok()) policy.Observe(*ts);
-  }
-
-  WatermarkPolicy policy;
-  std::optional<size_t> index;
-  Status status;
-};
 
 /// \brief The engine of both prefetching wrappers: a producer thread
 /// that pulls the wrapped operator in a tight loop and a bounded FIFO
@@ -184,8 +146,7 @@ class PrefetchPump {
 /// Lifecycle: Close() (or destruction) cancels the ring and joins the
 /// producer, even mid-stream with the producer blocked on a full ring.
 /// Reset() stops the producer, resets the wrapped operator and rearms.
-class AsyncPrefetchSource final : public engine::Operator,
-                                  public WatermarkProvider {
+class AsyncPrefetchSource final : public engine::Operator {
  public:
   explicit AsyncPrefetchSource(engine::OperatorPtr child,
                                AsyncPrefetchOptions options = {});
@@ -198,17 +159,9 @@ class AsyncPrefetchSource final : public engine::Operator,
 
   PrefetchStats stats() const { return pump_.stats(); }
 
-  /// Consumer-side event-time watermark over options.watermark_column;
-  /// -inf until a timestamped tuple was delivered (or when no column is
-  /// configured).
-  double CurrentWatermark() const override {
-    return watermark_.policy.watermark();
-  }
-
  private:
   engine::OperatorPtr child_;
   internal::PrefetchPump pump_;
-  internal::ConsumerWatermark watermark_;
   bool closed_ = false;
 };
 
@@ -223,8 +176,8 @@ class AsyncPrefetchSource final : public engine::Operator,
 /// consumed, so restore replays the ring's undelivered residue instead
 /// of losing it. SeekTo() stops the producer, discards the ring,
 /// re-seeks the wrapped source and rearms.
-class AsyncPrefetchReplayableSource final : public engine::ReplayableSource,
-                                            public WatermarkProvider {
+class AsyncPrefetchReplayableSource final
+    : public engine::ReplayableSource {
  public:
   explicit AsyncPrefetchReplayableSource(
       std::unique_ptr<engine::ReplayableSource> child,
@@ -241,16 +194,9 @@ class AsyncPrefetchReplayableSource final : public engine::ReplayableSource,
 
   PrefetchStats stats() const { return pump_.stats(); }
 
-  /// Consumer-side event-time watermark (see AsyncPrefetchSource). A
-  /// SeekTo resets it; replayed tuples re-advance it deterministically.
-  double CurrentWatermark() const override {
-    return watermark_.policy.watermark();
-  }
-
  private:
   std::unique_ptr<engine::ReplayableSource> child_;
   internal::PrefetchPump pump_;
-  internal::ConsumerWatermark watermark_;
   uint64_t delivered_ = 0;
   bool closed_ = false;
 };

@@ -61,17 +61,7 @@ SupervisedScan::SupervisedScan(engine::OperatorPtr child,
                                SupervisedScanOptions options)
     : child_(std::move(child)),
       options_(std::move(options)),
-      jitter_rng_(options_.jitter_seed),
-      watermark_(WatermarkPolicyOptions{options_.watermark_bound}) {
-  if (!options_.watermark_column.empty()) {
-    Result<size_t> idx =
-        child_->schema().IndexOf(options_.watermark_column);
-    if (idx.ok()) {
-      watermark_index_ = *idx;
-    } else {
-      watermark_status_ = idx.status();
-    }
-  }
+      jitter_rng_(options_.jitter_seed) {
   if (options_.metrics != nullptr) {
     obs::MetricRegistry* reg = options_.metrics;
     const std::vector<obs::Label> labels = {
@@ -98,25 +88,6 @@ SupervisedScan::SupervisedScan(engine::OperatorPtr child,
         "ausdb_stream_supervision_backoff_seconds", labels,
         obs::DefaultLatencySecondsBoundaries(),
         "Scheduled retry backoff delays, in seconds (sum = total backoff).");
-    if (watermark_index_.has_value()) {
-      m_watermark_ = reg->GetGauge(
-          "ausdb_stream_watermark_event_time_milli", labels,
-          "Source event-time watermark, in milli-units of the timestamp "
-          "column (max observed timestamp minus the bound).");
-    }
-  }
-}
-
-void SupervisedScan::ObserveWatermark(const engine::Tuple& t) {
-  if (!watermark_index_.has_value() ||
-      *watermark_index_ >= t.num_values()) {
-    return;
-  }
-  Result<double> ts = t.value(*watermark_index_).AsDouble();
-  if (!ts.ok()) return;  // validator/quarantine handles the bad field
-  if (watermark_.Observe(*ts) && m_watermark_ != nullptr) {
-    m_watermark_->Set(
-        static_cast<int64_t>(watermark_.watermark() * 1000.0));
   }
 }
 
@@ -180,11 +151,9 @@ void SupervisedScan::Quarantine(engine::Tuple tuple, Status status) {
 }
 
 Result<std::optional<engine::Tuple>> SupervisedScan::Next() {
-  AUSDB_RETURN_NOT_OK(watermark_status_);
   for (;;) {
     AUSDB_ASSIGN_OR_RETURN(std::optional<engine::Tuple> t, PullWithRetry());
     if (!t.has_value()) return std::optional<engine::Tuple>(std::nullopt);
-    ObserveWatermark(*t);
 
     const Status valid =
         options_.validator
@@ -215,7 +184,6 @@ Status SupervisedScan::Reset() {
   counters_ = SupervisionCounters{};
   quarantine_.clear();
   jitter_rng_.Seed(options_.jitter_seed);
-  watermark_.Reset();
   return child_->Reset();
 }
 

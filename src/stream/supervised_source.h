@@ -9,7 +9,6 @@
 #include "src/common/retry.h"
 #include "src/engine/operator.h"
 #include "src/obs/metrics.h"
-#include "src/stream/watermark.h"
 
 namespace ausdb {
 namespace stream {
@@ -85,16 +84,6 @@ struct SupervisedScanOptions {
   /// registry must outlive the scan.
   obs::MetricRegistry* metrics = nullptr;
   std::string metrics_label = "supervised_scan";
-
-  /// When non-empty, the scan tracks a bounded-out-of-orderness
-  /// watermark over this (deterministic double) timestamp column:
-  /// CurrentWatermark() = max emitted timestamp - watermark_bound, a
-  /// pure function of the observed data (never wall clock). Quarantined
-  /// and degraded-then-repaired tuples still advance the watermark —
-  /// their timestamps were observed — so supervision does not stall
-  /// event time.
-  std::string watermark_column;
-  double watermark_bound = 0.0;
 };
 
 /// Observability counters of a SupervisedScan. The accounting invariant —
@@ -119,8 +108,7 @@ struct SupervisionCounters {
 /// verifies that a mid-stream Status tears down an unsupervised pipeline,
 /// and SupervisedScan is the operator that decides which of those
 /// failures the pipeline survives.
-class SupervisedScan final : public engine::Operator,
-                             public WatermarkProvider {
+class SupervisedScan final : public engine::Operator {
  public:
   explicit SupervisedScan(engine::OperatorPtr child,
                           SupervisedScanOptions options = {});
@@ -134,34 +122,17 @@ class SupervisedScan final : public engine::Operator,
   const std::deque<QuarantinedTuple>& quarantine() const {
     return quarantine_;
   }
-  void ClearQuarantine() { quarantine_.clear(); }
-
-  /// Event-time watermark over options.watermark_column; -inf until a
-  /// finite timestamp has been observed (or when no column is
-  /// configured).
-  double CurrentWatermark() const override {
-    return watermark_.watermark();
-  }
 
  private:
   /// Pulls from the child, retrying transient failures per the policy.
   Result<std::optional<engine::Tuple>> PullWithRetry();
   void Quarantine(engine::Tuple tuple, Status status);
 
-  /// Observes one pulled tuple's timestamp (before validation) and
-  /// mirrors the advanced watermark into the gauge.
-  void ObserveWatermark(const engine::Tuple& t);
-
   engine::OperatorPtr child_;
   SupervisedScanOptions options_;
   SupervisionCounters counters_;
   std::deque<QuarantinedTuple> quarantine_;
   Rng jitter_rng_;
-  WatermarkPolicy watermark_;
-  /// Index of options_.watermark_column, resolved at construction; the
-  /// resolution error (if any) is returned by the first Next().
-  std::optional<size_t> watermark_index_;
-  Status watermark_status_;
 
   /// Registry-owned mirrors of SupervisionCounters; all null when
   /// options_.metrics is null.
@@ -172,7 +143,6 @@ class SupervisedScan final : public engine::Operator,
   obs::Counter* m_restarts_ = nullptr;
   obs::Counter* m_gave_up_ = nullptr;
   obs::Histogram* m_backoff_ = nullptr;
-  obs::Gauge* m_watermark_ = nullptr;
 };
 
 }  // namespace stream

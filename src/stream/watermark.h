@@ -28,7 +28,7 @@ struct WatermarkPolicyOptions {
 ///
 /// Before any observation the watermark is -infinity (nothing is late).
 /// Non-finite timestamps are ignored by Observe() — rejecting them is
-/// the caller's job (operators fail the tuple; sources count it) — so a
+/// the caller's job (the reorder buffer fails the tuple) — so a
 /// NaN can never poison the watermark itself.
 class WatermarkPolicy {
  public:
@@ -79,18 +79,6 @@ class WatermarkPolicy {
  private:
   WatermarkPolicyOptions options_;
   double max_timestamp_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Anything that exposes an event-time watermark: sources with a
-/// watermark column configured, and the ReorderBuffer (whose output
-/// watermark is what downstream windows trust).
-class WatermarkProvider {
- public:
-  virtual ~WatermarkProvider() = default;
-
-  /// The provider's current event-time watermark; -infinity when no
-  /// timestamped tuple has been delivered yet.
-  virtual double CurrentWatermark() const = 0;
 };
 
 }  // namespace stream

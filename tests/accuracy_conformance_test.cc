@@ -40,8 +40,6 @@ namespace govern {
 namespace {
 
 using engine::Collect;
-using engine::FieldType;
-using engine::Schema;
 using engine::Tuple;
 using engine::VectorScan;
 
@@ -53,12 +51,6 @@ constexpr double kConfidence = 0.9;
 constexpr size_t kPointsPerItem = 24;
 constexpr double kMu = 5.0;
 constexpr double kSigma = 2.0;
-
-Schema UncertainSchema() {
-  Schema s;
-  EXPECT_TRUE(s.AddField({"x", FieldType::kUncertain}).ok());
-  return s;
-}
 
 /// Runs kTrials independently learned Gaussian fields through the real
 /// AccuracyAnnotator configured as `spec` prescribes, and returns the

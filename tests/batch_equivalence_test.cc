@@ -157,8 +157,8 @@ TEST_F(BatchEquivalenceTest, LimitQuery) {
 }
 
 // Sliding-window aggregate over a deterministic double column: the
-// batched path extracts window entries from the gathered column slice;
-// the emitted aggregates must match the scalar path byte for byte.
+// emitted aggregates of the batched path must match the scalar path byte
+// for byte.
 TEST(BatchWindowEquivalenceTest, SlidingWindowOverDoubleColumn) {
   engine::Schema schema;
   ASSERT_TRUE(schema.AddField({"v", engine::FieldType::kDouble}).ok());
@@ -237,39 +237,6 @@ TEST(BatchContractTest, DeterministicBatchSizeIsPureAndClamped) {
   // 4096 / 100 = 40 clamps up to the min.
   EXPECT_EQ(engine::DeterministicBatchSize(wide_scan),
             engine::kMinBatchRows);
-}
-
-TEST(TupleBatchTest, GatherColumnsMaterializesDoubleFields) {
-  engine::Schema schema;
-  ASSERT_TRUE(schema.AddField({"x", engine::FieldType::kDouble}).ok());
-  ASSERT_TRUE(schema.AddField({"s", engine::FieldType::kString}).ok());
-  ASSERT_TRUE(schema.AddField({"y", engine::FieldType::kDouble}).ok());
-
-  engine::TupleBatch batch;
-  for (int i = 0; i < 5; ++i) {
-    batch.rows().emplace_back(std::vector<expr::Value>{
-        expr::Value(1.5 * i), expr::Value(std::string("row")),
-        expr::Value(-2.0 * i)});
-  }
-  ASSERT_FALSE(batch.columns_gathered());
-  EXPECT_TRUE(batch.Column(0).empty());
-
-  ASSERT_TRUE(batch.GatherColumns(schema).ok());
-  ASSERT_TRUE(batch.columns_gathered());
-  const auto x = batch.Column(0);
-  const auto y = batch.Column(2);
-  ASSERT_EQ(x.size(), 5u);
-  ASSERT_EQ(y.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(x[i], 1.5 * i);
-    EXPECT_EQ(y[i], -2.0 * i);
-  }
-  // Non-double field has no slice.
-  EXPECT_TRUE(batch.Column(1).empty());
-
-  batch.InvalidateColumns();
-  EXPECT_FALSE(batch.columns_gathered());
-  EXPECT_TRUE(batch.Column(0).empty());
 }
 
 }  // namespace

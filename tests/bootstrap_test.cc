@@ -1,7 +1,9 @@
 #include "src/bootstrap/bootstrap_accuracy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -157,6 +159,29 @@ TEST(ClassicBootstrapTest, InvalidInputs) {
   EXPECT_TRUE(ClassicPercentileBootstrap(s, 10, 0.0, stat, rng)
                   .status()
                   .IsInvalidArgument());
+}
+
+// Pins the exact IEEE-754 bits of a percentile interval at a fixed seed,
+// and how far the call advances the caller's stream (one resample seed
+// per resample).
+TEST(ClassicBootstrapTest, IntervalBitsArePinned) {
+  std::vector<double> sample(50);
+  for (size_t i = 0; i < sample.size(); ++i) {
+    const double scale = i % 3 == 0 ? 1e9 : 1.0;
+    sample[i] = scale * (1.0 + 0.5 * static_cast<double>(i));
+  }
+  const auto mean = [](std::span<const double> s) {
+    double m = 0.0;
+    for (double v : s) m += v;
+    return m / static_cast<double>(s.size());
+  };
+  Rng rng(2024);
+  auto ci = ClassicPercentileBootstrap(sample, 200, 0.9, mean, rng);
+  ASSERT_TRUE(ci.ok()) << ci.status().ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(ci->lo), 0x41e2c0cbe9240c4aULL);
+  EXPECT_EQ(std::bit_cast<uint64_t>(ci->hi), 0x41f7a9bd40816e97ULL);
+  EXPECT_EQ(ci->confidence, 0.9);
+  EXPECT_EQ(rng.NextUint64(), 0x3a42e0b381d060acULL);
 }
 
 // Property: bootstrap mean intervals achieve near-nominal coverage even

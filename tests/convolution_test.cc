@@ -1,7 +1,10 @@
 #include "src/dist/convolution.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +128,54 @@ TEST(ConvolutionTest, RejectsNonFiniteSupportEdges) {
   EXPECT_TRUE(ConvolveHistograms(*finite, *open)
                   .status()
                   .IsInvalidArgument());
+}
+
+
+// Pins the exact IEEE-754 bits of a convolution whose 64 point masses
+// (16 bins x 4 subdivisions) split into several deposit chunks, so any
+// change to the chunked deposit or to the chunk-order merge shows here.
+TEST(ConvolutionTest, MultiChunkDepositBitsArePinned) {
+  std::vector<double> x_edges, x_probs, y_edges, y_probs;
+  for (int i = 0; i <= 16; ++i) {
+    x_edges.push_back(0.37 * i + (i % 3) * 0.011);
+  }
+  for (int i = 0; i < 16; ++i) x_probs.push_back(1.0 + (i * 7) % 5);
+  for (int i = 0; i <= 12; ++i) {
+    y_edges.push_back(-2.0 + 0.91 * i + (i % 4) * 0.003);
+  }
+  for (int i = 0; i < 12; ++i) y_probs.push_back(1.0 / (1.0 + i));
+  double x_total = 0.0, y_total = 0.0;
+  for (double p : x_probs) x_total += p;
+  for (double p : y_probs) y_total += p;
+  for (double& p : x_probs) p /= x_total;
+  for (double& p : y_probs) p /= y_total;
+  auto x = HistogramDist::Make(x_edges, x_probs);
+  auto y = HistogramDist::Make(y_edges, y_probs);
+  ASSERT_TRUE(x.ok() && y.ok());
+  ConvolveOptions opts;
+  opts.output_bins = 8;
+  opts.subdivisions = 4;
+  auto sum = ConvolveHistograms(*x, *y, opts);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+
+  const std::vector<uint64_t> edge_bits = {
+      0xc009a10f819bf0c9ULL, 0xbfe97bc1f9903cdcULL, 0x3ff9c65d09a7a4b6ULL,
+      0x401012a6c405d9f6ULL, 0x4019b3b645a1cac0ULL, 0x4021aa62e39eddc4ULL,
+      0x40267aeaa46cd629ULL, 0x402b4b72653ace8dULL, 0x40300dfd13046379ULL};
+  const std::vector<uint64_t> prob_bits = {
+      0x3fa68d608cafb2cbULL, 0x3fcbc25000b89f65ULL, 0x3fd35d8cdea62330ULL,
+      0x3fcab9aaff044c4cULL, 0x3fbe573fe5063626ULL, 0x3fb2cb351a72c30cULL,
+      0x3fa02405abf5bf17ULL, 0x3f716ae6a21e9bb9ULL};
+  ASSERT_EQ(sum->edges().size(), edge_bits.size());
+  ASSERT_EQ(sum->probs().size(), prob_bits.size());
+  for (size_t i = 0; i < edge_bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(sum->edges()[i]), edge_bits[i])
+        << "edge " << i;
+  }
+  for (size_t i = 0; i < prob_bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(sum->probs()[i]), prob_bits[i])
+        << "prob " << i;
+  }
 }
 
 }  // namespace

@@ -52,11 +52,19 @@ using engine::TimeWindowOptions;
 using engine::Tuple;
 using engine::VectorScan;
 
-// Fresh scratch directory per test case (removed on destruction).
+// Fresh scratch directory per test case (removed on destruction). The
+// crash-point sweeps write, fsync and rename a checkpoint at every crash
+// point, and on a disk each sync takes milliseconds, so the directory
+// lives on tmpfs (/dev/shm) where the host has one. The write, fsync,
+// rename and directory-fsync calls are the same on either file system.
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& tag) {
-    path_ = (fs::temp_directory_path() /
+    std::error_code ec;
+    const fs::path root = fs::is_directory("/dev/shm", ec)
+                              ? fs::path("/dev/shm")
+                              : fs::temp_directory_path();
+    path_ = (root /
              ("ausdb_disorder_" + tag + "_" + std::to_string(::getpid())))
                 .string();
     fs::remove_all(path_);

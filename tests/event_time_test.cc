@@ -1,8 +1,8 @@
 // Event-time robustness: the WatermarkPolicy, the bounded-lateness
 // ReorderBuffer, late-tuple revision in the time- and count-based window
-// aggregates (with checkpoint v4 round trips), watermark plumbing
-// through the stream sources, distribution-drift quarantine, and the
-// AQL WITHIN/LATENESS surface.
+// aggregates (with checkpoint v4 round trips), the disordered event-time
+// source, distribution-drift quarantine, and the AQL WITHIN/LATENESS
+// surface.
 
 #include <bit>
 #include <cmath>
@@ -29,7 +29,6 @@
 #include "src/query/planner.h"
 #include "src/serde/checkpoint.h"
 #include "src/serde/json_writer.h"
-#include "src/stream/async_prefetch_source.h"
 #include "src/stream/drift_detector.h"
 #include "src/stream/replayable_source.h"
 #include "src/stream/supervised_source.h"
@@ -966,46 +965,7 @@ TEST(CountWindowRevisionTest, RevisionFlagMismatchRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Watermark plumbing through the stream sources
-
-TEST(SourceWatermarkTest, SupervisedScanTracksConfiguredColumn) {
-  stream::SupervisedScanOptions opts;
-  opts.watermark_column = "ts";
-  opts.watermark_bound = 2.0;
-  stream::SupervisedScan scan(Scan(OrderedStream(10)), opts);
-  EXPECT_EQ(scan.CurrentWatermark(), -kInf);
-  ASSERT_TRUE(Collect(scan).ok());
-  EXPECT_DOUBLE_EQ(scan.CurrentWatermark(), 7.0);
-}
-
-TEST(SourceWatermarkTest, SupervisedScanRejectsUnknownColumn) {
-  stream::SupervisedScanOptions opts;
-  opts.watermark_column = "no_such_column";
-  stream::SupervisedScan scan(Scan(OrderedStream(3)), opts);
-  EXPECT_FALSE(Collect(scan).ok());
-}
-
-TEST(SourceWatermarkTest, PrefetchWatermarkIsConsumerSide) {
-  for (size_t depth : {1u, 2u, 64u}) {
-    stream::AsyncPrefetchOptions opts;
-    opts.queue_depth = depth;
-    opts.watermark_column = "ts";
-    opts.watermark_bound = 3.0;
-    stream::AsyncPrefetchSource source(Scan(OrderedStream(20)), opts);
-    EXPECT_EQ(source.CurrentWatermark(), -kInf) << "depth " << depth;
-    // After exactly 5 deliveries the watermark is a pure function of
-    // the delivered prefix, regardless of producer read-ahead.
-    for (int i = 0; i < 5; ++i) {
-      auto t = source.Next();
-      ASSERT_TRUE(t.ok());
-      ASSERT_TRUE(t->has_value());
-    }
-    EXPECT_DOUBLE_EQ(source.CurrentWatermark(), 1.0) << "depth " << depth;
-    ASSERT_TRUE(Collect(source).ok());
-    EXPECT_DOUBLE_EQ(source.CurrentWatermark(), 16.0)
-        << "depth " << depth;
-  }
-}
+// The disordered event-time source
 
 TEST(SourceWatermarkTest, EventTimeSourceHasBoundedDisorder) {
   stream::EventTimeSourceOptions opts;

@@ -15,7 +15,6 @@
 #include "src/engine/scan.h"
 #include "src/engine/sort.h"
 #include "src/engine/time_window_aggregate.h"
-#include "src/engine/union_all.h"
 #include "src/engine/window_aggregate.h"
 
 namespace ausdb {
@@ -157,23 +156,6 @@ TEST(FailureInjectionTest, ScanFailurePropagatesThroughPartitionedWindow) {
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsInternal());
   EXPECT_NE(out.status().message().find("gateway feed dropped"),
-            std::string::npos);
-}
-
-TEST(FailureInjectionTest, UnionAllPropagatesFromAnyBranch) {
-  // The failing branch is second: the first drains cleanly, then the
-  // union must surface the second branch's Status unchanged.
-  std::vector<Tuple> clean = {XTuple(1.0), XTuple(2.0)};
-  std::vector<OperatorPtr> children;
-  children.push_back(
-      std::make_unique<VectorScan>(XSchema(), std::move(clean)));
-  children.push_back(FailingSource(1));
-  auto u = UnionAll::Make(std::move(children));
-  ASSERT_TRUE(u.ok());
-  auto out = Collect(**u);
-  ASSERT_FALSE(out.ok());
-  EXPECT_TRUE(out.status().IsInternal());
-  EXPECT_NE(out.status().message().find("sensor link dropped"),
             std::string::npos);
 }
 

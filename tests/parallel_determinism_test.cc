@@ -1,22 +1,16 @@
-// The determinism contract: the pool-aware library kernels produce
-// bit-identical output at any thread count (including no pool), and the
-// grouped window produces the same bits whichever way it is pulled.
-// These tests compare byte-for-byte — doubles via their IEEE-754 bit
+// The determinism contract: the grouped window produces the same bits
+// whichever way it is pulled, and a checkpoint resumes it mid-stream
+// bit-identically. These tests compare byte-for-byte — doubles via their IEEE-754 bit
 // patterns, never via tolerances.
 
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/bootstrap/bootstrap_accuracy.h"
-#include "src/bootstrap/resampler.h"
-#include "src/common/thread_pool.h"
-#include "src/dist/convolution.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/learner.h"
 #include "src/engine/executor.h"
@@ -194,81 +188,6 @@ TEST(ParallelDeterminismTest, FailingRowLeavesEarlierRowsStepped) {
     ASSERT_TRUE(blob.ok());
     EXPECT_EQ(*blob, *reference_blob)
         << (grouped ? "grouped" : "ungrouped");
-  }
-}
-
-TEST(ParallelDeterminismTest, BootstrapCiIdenticalAcrossThreadCounts) {
-  std::vector<double> sample(300);
-  for (size_t i = 0; i < sample.size(); ++i) {
-    sample[i] = (i % 3 == 0 ? 1e9 : 1.0) * (1.0 + static_cast<double>(i));
-  }
-  const auto stat = [](std::span<const double> s) {
-    double m = 0.0;
-    for (double v : s) m += v;
-    return m / static_cast<double>(s.size());
-  };
-  auto run = [&](ThreadPool* pool) {
-    Rng rng(777);
-    auto ci = bootstrap::ParallelPercentileBootstrap(sample, 400, 0.95,
-                                                     stat, rng, pool);
-    EXPECT_TRUE(ci.ok()) << ci.status().ToString();
-    return *ci;
-  };
-  const auto reference = run(nullptr);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const auto ci = run(&pool);
-    EXPECT_EQ(Bits(ci.lo), Bits(reference.lo));
-    EXPECT_EQ(Bits(ci.hi), Bits(reference.hi));
-    EXPECT_EQ(ci.confidence, reference.confidence);
-  }
-}
-
-TEST(ParallelDeterminismTest, ResampleManyIdenticalAcrossThreadCounts) {
-  std::vector<double> sample(64);
-  for (size_t i = 0; i < sample.size(); ++i) {
-    sample[i] = static_cast<double>(i) * 1.25;
-  }
-  auto run = [&](ThreadPool* pool) {
-    Rng parent(99);
-    return bootstrap::ResampleMany(sample, 40, parent, pool);
-  };
-  const auto reference = run(nullptr);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const auto out = run(&pool);
-    ASSERT_EQ(out.size(), reference.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i].size(), reference[i].size());
-      for (size_t j = 0; j < out[i].size(); ++j) {
-        EXPECT_EQ(Bits(out[i][j]), Bits(reference[i][j]));
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, ConvolutionIdenticalAcrossThreadCounts) {
-  auto a = dist::HistogramDist::Make({0.0, 1.0, 3.0}, {0.7, 0.3});
-  auto b = dist::HistogramDist::Make({-1.0, 0.0, 2.0}, {0.5, 0.5});
-  ASSERT_TRUE(a.ok() && b.ok());
-  auto run = [&](ThreadPool* pool) {
-    dist::ConvolveOptions opts;
-    opts.output_bins = 512;
-    opts.subdivisions = 4;
-    opts.pool = pool;
-    auto sum = dist::ConvolveHistograms(*a, *b, opts);
-    EXPECT_TRUE(sum.ok()) << sum.status().ToString();
-    return *sum;
-  };
-  const auto reference = run(nullptr);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const auto out = run(&pool);
-    ASSERT_EQ(out.probs().size(), reference.probs().size());
-    for (size_t i = 0; i < out.probs().size(); ++i) {
-      EXPECT_EQ(Bits(out.probs()[i]), Bits(reference.probs()[i]));
-      EXPECT_EQ(Bits(out.edges()[i]), Bits(reference.edges()[i]));
-    }
   }
 }
 

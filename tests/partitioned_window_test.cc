@@ -14,7 +14,6 @@
 #include "src/dist/learner.h"
 #include "src/engine/executor.h"
 #include "src/engine/scan.h"
-#include "src/engine/union_all.h"
 #include "src/query/parser.h"
 #include "src/query/planner.h"
 
@@ -148,27 +147,43 @@ TEST(WindowCltTest, HistogramInputsViaClt) {
               1e-9);
 }
 
-// Lemma 3 under repeated source sequences: UNION ALL of two scans whose
-// sequences both start at 0. Every emission's d.f. must be the minimum
+// Lemma 3 under repeated source sequences: two feeds concatenated, each
+// numbering its tuples from 0. Every emission's d.f. must be the minimum
 // over its window; a min-d.f. deque that evicted by source sequence
 // instead of by window position reported 7, 9, 9, 9 for outputs 2-5 of
 // the ungrouped case below, where the window minimum is 5, 5, 5, 7.
 using KeyedDf = std::pair<std::string, size_t>;
 
-OperatorPtr UnionOfScans(const std::vector<KeyedDf>& first,
-                         const std::vector<KeyedDf>& second) {
-  std::vector<OperatorPtr> children;
+// A scan that delivers its tuples with the sequence numbers they carry
+// (VectorScan would renumber them).
+class SequencePreservingScan final : public Operator {
+ public:
+  explicit SequencePreservingScan(std::vector<Tuple> tuples)
+      : schema_(KeyedSchema()), tuples_(std::move(tuples)) {}
+  const Schema& schema() const override { return schema_; }
+  Result<std::optional<Tuple>> Next() override {
+    if (pos_ >= tuples_.size()) return std::optional<Tuple>(std::nullopt);
+    return std::optional<Tuple>(tuples_[pos_++]);
+  }
+
+ private:
+  Schema schema_;
+  std::vector<Tuple> tuples_;
+  size_t pos_ = 0;
+};
+
+// One scan serving `first` then `second`, each numbered from 0.
+OperatorPtr RepeatedSequenceScan(const std::vector<KeyedDf>& first,
+                                 const std::vector<KeyedDf>& second) {
+  std::vector<Tuple> tuples;
   for (const auto* part : {&first, &second}) {
-    std::vector<Tuple> tuples;
+    uint64_t sequence = 0;
     for (const auto& [key, df] : *part) {
       tuples.push_back(KeyedTuple(key, 1.0, 1.0, df));
+      tuples.back().set_sequence(sequence++);
     }
-    children.push_back(
-        std::make_unique<VectorScan>(KeyedSchema(), std::move(tuples)));
   }
-  auto u = UnionAll::Make(std::move(children));
-  EXPECT_TRUE(u.ok()) << u.status().ToString();
-  return std::move(*u);
+  return std::make_unique<SequencePreservingScan>(std::move(tuples));
 }
 
 // The d.f. of every emission of per-key sliding windows of `w` rows
@@ -207,8 +222,8 @@ TEST(WindowMinDfTest, RepeatedSequencesUngrouped) {
   ASSERT_EQ(expected, (std::vector<size_t>{10, 5, 5, 5, 5, 7}));
 
   for (bool batched : {false, true}) {
-    auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
-                                     "avg", {.window_size = 4});
+    auto agg = WindowAggregate::Make(RepeatedSequenceScan(first, second),
+                                     "delay", "avg", {.window_size = 4});
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
     std::vector<Tuple> out;
     auto ran = engine::Run(**agg, {.batched = batched}, &out);
@@ -229,8 +244,9 @@ TEST(WindowMinDfTest, RepeatedSequencesGrouped) {
   ASSERT_EQ(expected, (std::vector<size_t>{10, 5, 5, 5, 5, 3, 7}));
 
   for (bool batched : {false, true}) {
-    auto agg = WindowAggregate::Make(UnionOfScans(first, second), "delay",
-                                     "avg", {.window_size = 4}, "road");
+    auto agg = WindowAggregate::Make(RepeatedSequenceScan(first, second),
+                                     "delay", "avg", {.window_size = 4},
+                                     "road");
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
     std::vector<Tuple> out;
     auto ran = engine::Run(**agg, {.batched = batched}, &out);

@@ -29,24 +29,22 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, ChunkBoundariesDependOnlyOnProblemSize) {
-  // The determinism contract: (n, num_chunks) fully determines the chunk
-  // decomposition — the thread count and the pool-vs-serial choice must
-  // not appear in it.
-  auto decompose = [](ThreadPool* pool, size_t n, size_t chunks) {
+  // (n, num_chunks) fully determines the chunk decomposition; the thread
+  // count must not appear in it.
+  auto decompose = [](size_t threads, size_t n, size_t chunks) {
+    ThreadPool pool(threads);
     std::vector<std::array<size_t, 3>> out(chunks, {0, 0, 0});
-    RunChunked(pool, n, chunks, [&](size_t c, size_t b, size_t e) {
+    pool.ParallelFor(n, chunks, [&](size_t c, size_t b, size_t e) {
       out[c] = {c, b, e};
     });
     return out;
   };
-  ThreadPool two(2);
-  ThreadPool eight(8);
-  const auto serial = decompose(nullptr, 103, 5);
-  EXPECT_EQ(decompose(&two, 103, 5), serial);
-  EXPECT_EQ(decompose(&eight, 103, 5), serial);
+  const auto one = decompose(1, 103, 5);
+  EXPECT_EQ(decompose(2, 103, 5), one);
+  EXPECT_EQ(decompose(8, 103, 5), one);
   // Chunks tile [0, n) contiguously.
   size_t prev = 0;
-  for (const auto& [c, b, e] : serial) {
+  for (const auto& [c, b, e] : one) {
     EXPECT_EQ(b, prev);
     EXPECT_LE(b, e);
     prev = e;
@@ -79,26 +77,23 @@ TEST(ThreadPoolTest, ChunkedReductionIsBitIdenticalAcrossThreadCounts) {
   // Per-chunk private accumulators merged in chunk-index order: the FP
   // operation tree is invariant, so sums agree to the bit.
   const size_t n = 10000;
+  const size_t chunks = 64;
   auto value = [](size_t i) {
     return (i % 2 == 0 ? 1e12 : 1e-3) * (1.0 + static_cast<double>(i % 97));
   };
-  auto reduce = [&](ThreadPool* pool) {
-    const size_t chunks = DeterministicChunkCount(n);
+  auto reduce = [&](size_t threads) {
+    ThreadPool pool(threads);
     std::vector<KahanSum> partials(chunks);
-    RunChunked(pool, n, chunks, [&](size_t c, size_t b, size_t e) {
+    pool.ParallelFor(n, chunks, [&](size_t c, size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) partials[c].Add(value(i));
     });
     KahanSum total;
     for (const KahanSum& p : partials) total.Add(p.Get());
     return total.Get();
   };
-  ThreadPool one(1);
-  ThreadPool two(2);
-  ThreadPool eight(8);
-  const double serial = reduce(nullptr);
-  EXPECT_EQ(serial, reduce(&one));
-  EXPECT_EQ(serial, reduce(&two));
-  EXPECT_EQ(serial, reduce(&eight));
+  const double one = reduce(1);
+  EXPECT_EQ(one, reduce(2));
+  EXPECT_EQ(one, reduce(8));
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAcrossManyLoops) {
@@ -110,19 +105,6 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossManyLoops) {
     });
   }
   EXPECT_EQ(total.load(), 200u * 64u);
-}
-
-TEST(ThreadPoolTest, DeterministicChunkCountIsBoundedAndMonotonicEnough) {
-  EXPECT_EQ(DeterministicChunkCount(0), 1u);
-  EXPECT_EQ(DeterministicChunkCount(1), 1u);
-  EXPECT_GE(DeterministicChunkCount(1024), 1u);
-  for (size_t n : {0u, 1u, 100u, 1000u, 100000u, 10000000u}) {
-    const size_t c = DeterministicChunkCount(n);
-    EXPECT_GE(c, 1u);
-    EXPECT_LE(c, 64u);
-    // Pure function of n.
-    EXPECT_EQ(c, DeterministicChunkCount(n));
-  }
 }
 
 }  // namespace
