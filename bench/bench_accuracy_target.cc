@@ -57,7 +57,7 @@ engine::OperatorPtr Source(size_t count, uint64_t seed) {
 }
 
 engine::OperatorPtr MakePlan(const std::string& sql, uint64_t seed) {
-  auto plan = query::PlanQuery(sql, Source(kTuples, seed), {});
+  auto plan = query::PlanQuery(sql, Source(kTuples, seed));
   AUSDB_CHECK(plan.ok()) << plan.status().ToString();
   return std::move(*plan);
 }

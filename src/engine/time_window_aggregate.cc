@@ -12,6 +12,37 @@
 namespace ausdb {
 namespace engine {
 
+namespace {
+
+/// The plain-double scan-and-finalize of every time-window emission:
+/// sums the means and variances of the TimedEntry range [first, last) in
+/// iteration order, takes the minimum d.f. sample size (Lemma 3), and
+/// for AVG divides by the entry count when the range is non-empty.
+template <typename It>
+KeyWindowState::Aggregate ScanAggregate(It first, It last, WindowAggFn fn) {
+  double sum_mean = 0.0, sum_variance = 0.0;
+  size_t count = 0;
+  KeyWindowState::Aggregate agg;
+  agg.df = dist::RandomVar::kCertainSampleSize;
+  for (; first != last; ++first) {
+    const WindowEntry& e = first->entry;
+    sum_mean += e.mean;
+    sum_variance += e.variance;
+    agg.df = std::min(agg.df, e.sample_size);
+    ++count;
+  }
+  const double w = static_cast<double>(count);
+  agg.mean = sum_mean;
+  agg.variance = sum_variance;
+  if (fn == WindowAggFn::kAvg && count > 0) {
+    agg.mean /= w;
+    agg.variance /= w * w;
+  }
+  return agg;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<TimeWindowAggregate>> TimeWindowAggregate::Make(
     OperatorPtr child, std::string timestamp_column,
     std::string value_column, std::string output_name,
@@ -93,10 +124,8 @@ Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
     }
     // Extract before admission, so a value the window cannot aggregate
     // fails loudly even when its tuple would be shed.
-    AUSDB_ASSIGN_OR_RETURN(
-        WindowEntry e, WindowEntryFromValue(t->value(value_index_),
-                                            options_.allow_clt_approximation));
-    e.sequence = t->sequence();
+    AUSDB_ASSIGN_OR_RETURN(WindowEntry e,
+                           WindowEntryFromValue(t->value(value_index_)));
 
     const bool late = ts < last_timestamp_;
     if (late && options_.require_ordered) {
@@ -111,7 +140,7 @@ Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
       continue;
     }
     last_timestamp_ = std::max(last_timestamp_, ts);
-    InsertSorted({ts, e});
+    InsertSorted({ts, t->sequence(), e});
     // Retire what no window can still use: outside every revisable
     // window (revision mode) or the current one (allowed_lateness == 0).
     const double horizon = last_timestamp_ - options_.allowed_lateness;
@@ -165,8 +194,8 @@ void TimeWindowAggregate::InsertSorted(const TimedEntry& e) {
   // Arrivals are mostly in order: scan back from the end.
   auto pos = window_.end();
   while (pos != window_.begin() &&
-         std::tie(e.timestamp, e.entry.sequence) <
-             std::tie((pos - 1)->timestamp, (pos - 1)->entry.sequence)) {
+         std::tie(e.timestamp, e.sequence) <
+             std::tie((pos - 1)->timestamp, (pos - 1)->sequence)) {
     --pos;
   }
   window_.insert(pos, e);
@@ -183,9 +212,7 @@ TimeWindowAggregate::Output TimeWindowAggregate::ComputeWindow(
       [window_end](const TimedEntry& e) { return e.timestamp <= window_end; });
   Output o;
   o.window_end = window_end;
-  o.aggregate = ScanAggregate(
-      first, last, options_.fn,
-      [](const TimedEntry& e) -> const WindowEntry& { return e.entry; });
+  o.aggregate = ScanAggregate(first, last, options_.fn);
   o.revision = revision;
   o.sequence = trigger.sequence();
   o.membership_prob = trigger.membership_prob();
@@ -233,7 +260,7 @@ Result<std::string> TimeWindowAggregate::SaveCheckpoint() const {
     w.Double(e.entry.mean);
     w.Double(e.entry.variance);
     w.Uint(e.entry.sample_size);
-    w.Uint(e.entry.sequence);
+    w.Uint(e.sequence);
   }
   w.Uint(emitted_ends_.size());
   for (double end : emitted_ends_) w.Double(end);
@@ -280,7 +307,7 @@ Status TimeWindowAggregate::RestoreCheckpoint(std::string_view blob) {
     AUSDB_ASSIGN_OR_RETURN(e.entry.mean, r.NextDouble());
     AUSDB_ASSIGN_OR_RETURN(e.entry.variance, r.NextDouble());
     AUSDB_ASSIGN_OR_RETURN(e.entry.sample_size, r.NextUint());
-    AUSDB_ASSIGN_OR_RETURN(e.entry.sequence, r.NextUint());
+    AUSDB_ASSIGN_OR_RETURN(e.sequence, r.NextUint());
     window.push_back(e);
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t ends_count, r.NextCount(17));

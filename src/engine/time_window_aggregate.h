@@ -21,10 +21,6 @@ struct TimeWindowOptions {
 
   WindowAggFn fn = WindowAggFn::kAvg;
 
-  /// As in WindowAggregateOptions: approximate non-Gaussian uncertain
-  /// inputs by the CLT instead of failing.
-  bool allow_clt_approximation = false;
-
   /// Require non-decreasing timestamps (stream order). When false,
   /// out-of-order tuples are accepted and evicted by value.
   bool require_ordered = true;
@@ -103,9 +99,11 @@ class TimeWindowAggregate final : public Operator {
   uint64_t shed_late() const { return shed_late_; }
 
  private:
-  /// A window entry keyed by its event timestamp.
+  /// A window entry keyed by its event timestamp and the
+  /// source-assigned arrival sequence that orders timestamp ties.
   struct TimedEntry {
     double timestamp;
+    uint64_t sequence;
     WindowEntry entry;
   };
 

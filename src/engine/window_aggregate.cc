@@ -13,12 +13,6 @@ Result<std::unique_ptr<WindowAggregate>> WindowAggregate::Make(
   if (options.window_size == 0) {
     return Status::InvalidArgument("window size must be >= 1");
   }
-  if (options.emit_revisions && options.kind == WindowKind::kTumbling) {
-    return Status::InvalidArgument(
-        "revision mode requires a sliding window: a tumbling window "
-        "resets its state at each emission, so there is no current "
-        "window left to revise");
-  }
   Schema out_schema;
   std::optional<size_t> key_idx;
   if (key_column.has_value()) {
@@ -39,10 +33,6 @@ Result<std::unique_ptr<WindowAggregate>> WindowAggregate::Make(
   }
   AUSDB_RETURN_NOT_OK(
       out_schema.AddField({std::move(output_name), FieldType::kUncertain}));
-  if (options.emit_revisions) {
-    AUSDB_RETURN_NOT_OK(
-        out_schema.AddField({"revision", FieldType::kBool}));
-  }
   return std::unique_ptr<WindowAggregate>(new WindowAggregate(
       std::move(child), idx, key_idx, std::move(out_schema), options));
 }
@@ -58,12 +48,11 @@ WindowAggregate::WindowAggregate(OperatorPtr child, size_t column_index,
       options_(options) {}
 
 Tuple WindowAggregate::EmissionTuple(
-    const Tuple& in, const KeyWindowState::Emission& emission) const {
+    const Tuple& in, const KeyWindowState::Aggregate& aggregate) const {
   std::vector<expr::Value> values;
   values.reserve(schema_.num_fields());
   if (key_index_.has_value()) values.push_back(in.value(*key_index_));
-  values.push_back(expr::Value(emission.aggregate.ToRandomVar()));
-  if (options_.emit_revisions) values.emplace_back(emission.revision);
+  values.push_back(expr::Value(aggregate.ToRandomVar()));
   Tuple out(std::move(values));
   out.set_sequence(in.sequence());
   out.set_membership_prob(in.membership_prob());
@@ -74,23 +63,18 @@ Tuple WindowAggregate::EmissionTuple(
 Status WindowAggregate::StepRows(TupleBatch& out) {
   for (const Tuple& t : input_.rows()) {
     ++input_consumed_;
-    AUSDB_ASSIGN_OR_RETURN(
-        WindowEntry entry,
-        WindowEntryFromValue(t.value(column_index_),
-                             options_.allow_clt_approximation));
-    entry.sequence = t.sequence();
+    AUSDB_ASSIGN_OR_RETURN(WindowEntry entry,
+                           WindowEntryFromValue(t.value(column_index_)));
     KeyWindowState* state = &single_;
     if (key_index_.has_value()) {
       AUSDB_ASSIGN_OR_RETURN(std::string key,
                              PartitionKeyFromValue(t.value(*key_index_)));
       state = &partitions_[std::move(key)];
     }
-    bool shed = false;
-    std::optional<KeyWindowState::Emission> emission =
-        state->Step(entry, options_, &shed);
-    if (shed) ++shed_late_;
-    if (emission.has_value()) {
-      out.rows().push_back(EmissionTuple(t, *emission));
+    std::optional<KeyWindowState::Aggregate> aggregate =
+        state->Observe(entry, options_);
+    if (aggregate.has_value()) {
+      out.rows().push_back(EmissionTuple(t, *aggregate));
     }
   }
   return Status::OK();
@@ -127,20 +111,17 @@ Status WindowAggregate::Reset() {
   single_ = KeyWindowState{};
   partitions_.clear();
   input_consumed_ = 0;
-  shed_late_ = 0;
   return child_->Reset();
 }
 
 Result<std::string> WindowAggregate::SaveCheckpoint() const {
   serde::CheckpointWriter w;
-  w.Token("wagg.v6");
+  w.Token("wagg.v7");
   w.Uint(static_cast<uint64_t>(options_.kind));
   w.Uint(static_cast<uint64_t>(options_.fn));
   w.Uint(options_.window_size);
-  w.Uint(options_.emit_revisions ? 1 : 0);
   w.Uint(key_index_.has_value() ? 1 : 0);
   w.Uint(input_consumed_);
-  w.Uint(shed_late_);
   // An ungrouped window is one partition under the empty key.
   std::vector<std::pair<std::string_view, const KeyWindowState*>> states;
   if (key_index_.has_value()) {
@@ -159,16 +140,11 @@ Result<std::string> WindowAggregate::SaveCheckpoint() const {
     w.Double(state->sum_mean.compensation());
     w.Double(state->sum_variance.raw_sum());
     w.Double(state->sum_variance.compensation());
-    w.Uint(state->any_observed ? 1 : 0);
-    w.Uint(state->max_sequence);
-    w.Uint(state->any_evicted ? 1 : 0);
-    w.Uint(state->evicted_horizon);
     w.Uint(state->window.size());
     for (const WindowEntry& e : state->window) {
       w.Double(e.mean);
       w.Double(e.variance);
       w.Uint(e.sample_size);
-      w.Uint(e.sequence);
     }
   }
   return std::move(w).Finish();
@@ -177,31 +153,27 @@ Result<std::string> WindowAggregate::SaveCheckpoint() const {
 Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
   serde::CheckpointReader r(blob);
   AUSDB_ASSIGN_OR_RETURN(std::string version, r.NextToken());
-  if (version != "wagg.v6") {
+  if (version != "wagg.v7") {
     return Status::Corruption("unknown WindowAggregate checkpoint "
                               "version '" + version + "'");
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t kind, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(uint64_t fn, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(uint64_t window_size, r.NextUint());
-  AUSDB_ASSIGN_OR_RETURN(uint64_t revisions, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(uint64_t grouped, r.NextUint());
   if (kind != static_cast<uint64_t>(options_.kind) ||
       fn != static_cast<uint64_t>(options_.fn) ||
       window_size != options_.window_size ||
-      (revisions != 0) != options_.emit_revisions ||
       (grouped != 0) != key_index_.has_value()) {
     return Status::InvalidArgument(
         "checkpoint was taken from a differently configured "
         "WindowAggregate");
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t input_consumed, r.NextUint());
-  AUSDB_ASSIGN_OR_RETURN(uint64_t shed_late, r.NextUint());
-  // A partition is at least an empty key ("0:"), 4 hex doubles, 4 uints
-  // and an entry count, with separators: >= 81 bytes. NextCount rejects
-  // counts the remaining blob cannot hold before anything is sized from
-  // them.
-  AUSDB_ASSIGN_OR_RETURN(uint64_t npartitions, r.NextCount(81));
+  // A partition is at least an empty key ("0:"), 4 hex doubles and an
+  // entry count, with separators: >= 73 bytes. NextCount rejects counts
+  // the remaining blob cannot hold before anything is sized from them.
+  AUSDB_ASSIGN_OR_RETURN(uint64_t npartitions, r.NextCount(73));
   if (!key_index_.has_value() && npartitions != 1) {
     return Status::Corruption(
         "ungrouped WindowAggregate checkpoint must hold one partition");
@@ -217,21 +189,14 @@ Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
     AUSDB_ASSIGN_OR_RETURN(double comp_variance, r.NextDouble());
     state.sum_mean.Restore(sum_mean, comp_mean);
     state.sum_variance.Restore(sum_variance, comp_variance);
-    AUSDB_ASSIGN_OR_RETURN(uint64_t any_observed, r.NextUint());
-    state.any_observed = any_observed != 0;
-    AUSDB_ASSIGN_OR_RETURN(state.max_sequence, r.NextUint());
-    AUSDB_ASSIGN_OR_RETURN(uint64_t any_evicted, r.NextUint());
-    state.any_evicted = any_evicted != 0;
-    AUSDB_ASSIGN_OR_RETURN(state.evicted_horizon, r.NextUint());
-    // Each entry encodes 2 hex doubles and 2 uints: >= 38 bytes with
+    // Each entry encodes 2 hex doubles and a uint: >= 36 bytes with
     // separators.
-    AUSDB_ASSIGN_OR_RETURN(uint64_t count, r.NextCount(38));
+    AUSDB_ASSIGN_OR_RETURN(uint64_t count, r.NextCount(36));
     for (uint64_t i = 0; i < count; ++i) {
       WindowEntry e;
       AUSDB_ASSIGN_OR_RETURN(e.mean, r.NextDouble());
       AUSDB_ASSIGN_OR_RETURN(e.variance, r.NextDouble());
       AUSDB_ASSIGN_OR_RETURN(e.sample_size, r.NextUint());
-      AUSDB_ASSIGN_OR_RETURN(e.sequence, r.NextUint());
       state.window.push_back(e);
     }
     state.RebuildMinDeque();
@@ -246,7 +211,6 @@ Status WindowAggregate::RestoreCheckpoint(std::string_view blob) {
     single_ = std::move(restored.begin()->second);
   }
   input_consumed_ = input_consumed;
-  shed_late_ = shed_late;
   return Status::OK();
 }
 

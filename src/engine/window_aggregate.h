@@ -23,11 +23,13 @@ namespace engine {
 /// size is the window minimum (Lemma 3). Every window runs on
 /// KeyWindowState.
 ///
+/// The window counts rows in arrival order and never revises an output:
+/// AQL attaches lateness only to RANGE windows (TimeWindowAggregate).
+///
 /// Ungrouped, the stream is one implicit key and the schema is
 /// (<output_name>:uncertain). With a key column (string or double, e.g.
 /// the Road_ID of the paper's Example 1) each distinct key keeps its own
-/// window and the schema is (key, <output_name>:uncertain). Either way
-/// `options.emit_revisions` appends a trailing revision:bool column.
+/// window and the schema is (key, <output_name>:uncertain).
 ///
 /// Next() steps one input at a time. NextBatch() pulls one child batch,
 /// steps it and returns its emissions, at most one per input (pulling
@@ -56,11 +58,11 @@ class WindowAggregate final : public Operator {
 
   /// Checkpointing serializes every open window (entries plus the exact
   /// running sums and their Neumaier compensation terms, preserving the
-  /// accumulators' floating-point history, and the revision-mode
-  /// bookkeeping; keys sorted, so equal states produce equal blobs) so a
-  /// restarted pipeline resumes mid-window bit-for-bit. Emissions never
-  /// outlive a pull, so no output is pending at a checkpoint. One format,
-  /// wagg.v6; blobs of any other version are rejected as corrupt.
+  /// accumulators' floating-point history; keys sorted, so equal states
+  /// produce equal blobs) so a restarted pipeline resumes mid-window
+  /// bit-for-bit. Emissions never outlive a pull, so no output is pending
+  /// at a checkpoint. One format, wagg.v7; blobs of any other version are
+  /// rejected as corrupt.
   Result<std::string> SaveCheckpoint() const override;
   Status RestoreCheckpoint(std::string_view blob) override;
 
@@ -74,19 +76,15 @@ class WindowAggregate final : public Operator {
   /// must resume after when restoring this operator's checkpoint.
   uint64_t input_consumed() const { return input_consumed_; }
 
-  /// Revision mode: late tuples older than every retained position of
-  /// their key's window, dropped (loudly) instead of revised.
-  uint64_t shed_late() const { return shed_late_; }
-
  private:
   WindowAggregate(OperatorPtr child, size_t column_index,
                   std::optional<size_t> key_index, Schema out_schema,
                   WindowAggregateOptions options);
 
-  /// The output tuple of `emission`, carrying the key and provenance of
+  /// The output tuple of `aggregate`, carrying the key and provenance of
   /// its input row `in`.
   Tuple EmissionTuple(const Tuple& in,
-                      const KeyWindowState::Emission& emission) const;
+                      const KeyWindowState::Aggregate& aggregate) const;
 
   /// Steps the rows of `input_` in input order through their keys'
   /// windows and appends their emissions to `out`.
@@ -106,7 +104,6 @@ class WindowAggregate final : public Operator {
   KeyWindowState single_;
   std::unordered_map<std::string, KeyWindowState> partitions_;
   uint64_t input_consumed_ = 0;
-  uint64_t shed_late_ = 0;
 };
 
 }  // namespace engine

@@ -9,19 +9,15 @@
 namespace ausdb {
 namespace engine {
 
-Result<WindowEntry> WindowEntryFromValue(const expr::Value& v,
-                                         bool allow_clt_approximation) {
+Result<WindowEntry> WindowEntryFromValue(const expr::Value& v) {
   WindowEntry e;
   if (v.is_random_var()) {
     AUSDB_ASSIGN_OR_RETURN(dist::RandomVar rv, v.random_var());
     if (!rv.is_certain() &&
-        rv.distribution()->kind() != dist::DistributionKind::kGaussian &&
-        !allow_clt_approximation) {
+        rv.distribution()->kind() != dist::DistributionKind::kGaussian) {
       return Status::NotImplemented(
           "closed-form window aggregation requires Gaussian or "
-          "deterministic inputs; got " + rv.distribution()->ToString() +
-          " (set allow_clt_approximation for a CLT-based Gaussian "
-          "approximation)");
+          "deterministic inputs; got " + rv.distribution()->ToString());
     }
     e.mean = rv.Mean();
     e.variance = rv.Variance();
@@ -116,69 +112,6 @@ std::optional<KeyWindowState::Aggregate> KeyWindowState::Observe(
     sum_variance.Reset();
   }
   return agg;
-}
-
-std::optional<KeyWindowState::Emission> KeyWindowState::Step(
-    const WindowEntry& e, const WindowAggregateOptions& options,
-    bool* shed_late) {
-  if (options.emit_revisions) return ObserveRevising(e, options, shed_late);
-  std::optional<Aggregate> agg = Observe(e, options);
-  if (!agg.has_value()) return std::nullopt;
-  return Emission{*agg, /*revision=*/false};
-}
-
-std::optional<KeyWindowState::Emission> KeyWindowState::ObserveRevising(
-    const WindowEntry& e, const WindowAggregateOptions& options,
-    bool* shed_late) {
-  if (shed_late != nullptr) *shed_late = false;
-  const bool late = any_observed && e.sequence < max_sequence;
-
-  if (!late) {
-    any_observed = true;
-    max_sequence = e.sequence;
-    window.push_back(e);
-    if (window.size() > options.window_size) {
-      evicted_horizon = window.front().sequence;
-      any_evicted = true;
-      window.pop_front();
-    }
-    if (window.size() < options.window_size && !options.emit_partial) {
-      return std::nullopt;
-    }
-    return Emission{ScanAggregate(window.begin(), window.end(), options.fn),
-                    /*revision=*/false};
-  }
-
-  // Late arrival: only the *current* window is revisable (bounded
-  // memory). Entries at/below the eviction horizon have slid past.
-  if (any_evicted && e.sequence <= evicted_horizon) {
-    if (shed_late != nullptr) *shed_late = true;
-    return std::nullopt;
-  }
-  auto pos = window.end();
-  while (pos != window.begin() && (pos - 1)->sequence > e.sequence) {
-    --pos;
-  }
-  window.insert(pos, e);
-  if (window.size() > options.window_size) {
-    const uint64_t displaced = window.front().sequence;
-    evicted_horizon = displaced;
-    any_evicted = true;
-    window.pop_front();
-    if (displaced == e.sequence) {
-      // The straggler was older than everything retained: displaced
-      // right back out, no state change to re-emit.
-      if (shed_late != nullptr) *shed_late = true;
-      return std::nullopt;
-    }
-  }
-  if (window.size() < options.window_size && !options.emit_partial) {
-    // Nothing was emitted for this span yet; the late entry simply
-    // joins the still-filling window.
-    return std::nullopt;
-  }
-  return Emission{ScanAggregate(window.begin(), window.end(), options.fn),
-                  /*revision=*/true};
 }
 
 }  // namespace engine

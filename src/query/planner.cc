@@ -202,5 +202,10 @@ Result<engine::OperatorPtr> PlanQuery(std::string_view sql,
   return BuildPlan(query, std::move(source), options);
 }
 
+Result<engine::OperatorPtr> PlanQuery(std::string_view sql,
+                                      engine::OperatorPtr source) {
+  return PlanQuery(sql, std::move(source), PlannerOptions{});
+}
+
 }  // namespace query
 }  // namespace ausdb

@@ -116,7 +116,13 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
 /// Parses `sql` and builds the plan over `source` in one step.
 Result<engine::OperatorPtr> PlanQuery(std::string_view sql,
                                       engine::OperatorPtr source,
-                                      const PlannerOptions& options = {});
+                                      const PlannerOptions& options);
+
+/// PlanQuery with default options. The options are built inside the
+/// library, not at each call site, where GCC's optimized sanitizer
+/// builds report their inlined strings as maybe-uninitialized.
+Result<engine::OperatorPtr> PlanQuery(std::string_view sql,
+                                      engine::OperatorPtr source);
 
 }  // namespace query
 }  // namespace ausdb

@@ -65,7 +65,12 @@ Status WriteValue(CheckpointWriter& w, const expr::Value& v) {
 }
 
 Result<expr::Value> ReadValue(CheckpointReader& r) {
-  AUSDB_ASSIGN_OR_RETURN(std::string tag, r.NextToken());
+  // The tag is read in place: moving it out of the Result makes GCC's
+  // optimizer report the short-string compares below as reading an
+  // uninitialized buffer (-Wmaybe-uninitialized, a false positive).
+  Result<std::string> token = r.NextToken();
+  if (!token.ok()) return token.status();
+  const std::string& tag = *token;
   if (tag == "n") return expr::Value::Null();
   if (tag == "b") {
     AUSDB_ASSIGN_OR_RETURN(uint64_t b, r.NextUint());

@@ -35,7 +35,7 @@ RandomQuery GenerateRandomQuery(Rng& rng,
   AUSDB_CHECK(options.num_columns >= 1) << "need at least one column";
   RandomQuery q;
   for (size_t i = 0; i < options.num_columns; ++i) {
-    q.column_names.push_back("x" + std::to_string(i));
+    q.column_names.push_back(std::string("x") + std::to_string(i));
     if (options.normal_only_linear) {
       q.families.push_back(Family::kNormal);
     } else {

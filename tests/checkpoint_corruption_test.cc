@@ -47,7 +47,7 @@ std::vector<Tuple> KeyedTuples(size_t n) {
   std::vector<Tuple> tuples;
   for (size_t i = 0; i < n; ++i) {
     tuples.push_back(
-        KeyedTuple("k" + std::to_string(i % 3), 10.0 + double(i)));
+        KeyedTuple(std::string("k") + std::to_string(i % 3), 10.0 + double(i)));
   }
   return tuples;
 }
@@ -198,18 +198,16 @@ TEST(CheckpointCorruptionTest, TokenLayerSurvivesEveryByteFlip) {
 }
 
 // A damaged count field must be rejected before it drives an
-// allocation: craft wagg.v6 blobs declaring 2^40 partitions, and 2^40
+// allocation: craft wagg.v7 blobs declaring 2^40 partitions, and 2^40
 // entries in one partition.
 serde::CheckpointWriter GroupedHeader() {
   serde::CheckpointWriter w;
-  w.Token("wagg.v6");
+  w.Token("wagg.v7");
   w.Uint(0);  // kind = sliding
   w.Uint(0);  // fn = avg
   w.Uint(3);  // window size
-  w.Uint(0);  // no revisions
   w.Uint(1);  // grouped
   w.Uint(0);  // input consumed
-  w.Uint(0);  // shed late
   return w;
 }
 
@@ -223,7 +221,6 @@ TEST(CheckpointCorruptionTest, HugeDeclaredCountsRejectedUpFront) {
   w2.Uint(1);  // one partition
   w2.Bytes("k0");
   for (int i = 0; i < 4; ++i) w2.Double(0.0);  // sums and compensations
-  for (int i = 0; i < 4; ++i) w2.Uint(0);      // revision bookkeeping
   w2.Uint(uint64_t{1} << 40);                  // entry count: absurd
   const Status st2 = RestoreGrouped(std::move(w2).Finish());
   ASSERT_TRUE(st2.IsCorruption()) << st2.ToString();

@@ -29,7 +29,6 @@
 #include "src/engine/reorder_buffer.h"
 #include "src/engine/scan.h"
 #include "src/engine/time_window_aggregate.h"
-#include "src/engine/window_aggregate.h"
 #include "src/serde/checkpoint.h"
 #include "src/serde/json_writer.h"
 #include "src/stream/async_prefetch_source.h"
@@ -78,29 +77,6 @@ class ScratchDir {
 
  private:
   std::string path_;
-};
-
-// VectorScan stamps delivery-order sequences over its tuples; this scan
-// preserves the sequences already set, which is the identity a
-// sequence-disordered stream carries.
-class PreservingScan final : public engine::Operator {
- public:
-  PreservingScan(Schema schema, std::vector<Tuple> tuples)
-      : schema_(std::move(schema)), tuples_(std::move(tuples)) {}
-  const Schema& schema() const override { return schema_; }
-  Result<std::optional<Tuple>> Next() override {
-    if (pos_ >= tuples_.size()) return std::optional<Tuple>(std::nullopt);
-    return std::optional<Tuple>(tuples_[pos_++]);
-  }
-  Status Reset() override {
-    pos_ = 0;
-    return Status::OK();
-  }
-
- private:
-  Schema schema_;
-  std::vector<Tuple> tuples_;
-  size_t pos_ = 0;
 };
 
 Schema TsSchema() {
@@ -258,71 +234,6 @@ TEST(DisorderEquivalenceTest, BootstrapAccuracyFoldMatchesInOrder) {
   ExpectFoldMatchesInOrderAcrossQueueDepths(/*annotate=*/true);
 }
 
-// A bootstrap annotator above the revising count window. A count
-// window's result is identified by its contents, so the fold is keyed by
-// the aggregate value: every result the disordered run emits — first
-// emissions and revisions alike — carries the `_accuracy` bytes the
-// in-order run gives the same value.
-TEST(DisorderEquivalenceTest, BootstrapAccuracyOverCountWindowRevisions) {
-  constexpr size_t kCount = 96;
-  engine::WindowAggregateOptions wo;
-  wo.window_size = 4;
-  wo.emit_revisions = true;
-  const auto run = [&](OperatorPtr source) -> Result<std::vector<Tuple>> {
-    AUSDB_ASSIGN_OR_RETURN(
-        auto agg, engine::WindowAggregate::Make(std::move(source), "x", "a",
-                                                wo));
-    OperatorPtr root = BootstrapAnnotated(std::move(agg));
-    return Collect(*root);
-  };
-
-  auto golden = run(std::make_unique<VectorScan>(TsSchema(),
-                                                 OrderedStream(kCount)));
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  std::map<std::string, std::string> golden_fold;
-  for (const Tuple& t : *golden) {
-    ASSERT_TRUE(t.accuracy()[0].has_value());
-    golden_fold[serde::ToJson(t.value(0))] = serde::ToJson(*t.accuracy()[0]);
-  }
-  ASSERT_EQ(golden_fold.size(), kCount - wo.window_size + 1);
-
-  stream::DisorderSpec spec;
-  spec.max_displacement = 3;
-  spec.shuffle_probability = 0.8;
-  spec.seed = 0xc0de;
-  auto out = run(std::make_unique<stream::DisorderInjector>(
-      std::make_unique<VectorScan>(TsSchema(), OrderedStream(kCount)),
-      spec));
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  // A window emitted while a straggler was still missing has no in-order
-  // twin; its value may repeat later in the run, with the same bytes.
-  std::map<std::string, std::string> gapped;
-  size_t matched = 0, matched_revisions = 0, revisions = 0;
-  for (size_t i = 0; i < out->size(); ++i) {
-    const Tuple& t = (*out)[i];
-    ASSERT_TRUE(t.accuracy()[0].has_value());
-    const bool revision = *t.value(1).bool_value();
-    revisions += revision;
-    const std::string value = serde::ToJson(t.value(0));
-    const std::string accuracy = serde::ToJson(*t.accuracy()[0]);
-    const auto it = golden_fold.find(value);
-    if (it == golden_fold.end()) {
-      const auto [seen, fresh] = gapped.emplace(value, accuracy);
-      ASSERT_TRUE(fresh || seen->second == accuracy) << "output " << i;
-      continue;
-    }
-    ASSERT_EQ(accuracy, it->second)
-        << "output " << i << (revision ? " (revision)" : "");
-    ++matched;
-    matched_revisions += revision;
-  }
-  // The fold must be far from vacuous: revisions happen, and a good
-  // share of windows (revisions among them) meet their in-order twin.
-  EXPECT_GT(revisions, 0u);
-  EXPECT_GT(matched_revisions, 0u);
-  EXPECT_GE(matched, golden_fold.size() / 4);
-}
-
 // The printed-algorithm path (a histogram field): the same value
 // annotated as tuple 1 and as tuple 50 of a stream gets byte-identical
 // per-bin, mean and variance intervals.
@@ -390,63 +301,6 @@ TEST(DisorderEquivalenceTest, SeededDisorderIsReplayable) {
               serde::ToJson((*b)[i], out_schema))
         << "output " << i;
   }
-}
-
-// Grouped revision mode under seeded sequence disorder, batched: output
-// is byte-identical to the grouped window stepped tuple at a time on the
-// same disordered stream.
-TEST(DisorderEquivalenceTest, ShardedRevisionsMatchSerialAcrossThreads) {
-  Schema keyed;
-  ASSERT_TRUE(keyed.AddField({"key", FieldType::kString}).ok());
-  ASSERT_TRUE(keyed.AddField({"x", FieldType::kUncertain}).ok());
-  std::vector<Tuple> tuples;
-  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
-  for (uint64_t i = 0; i < 80; ++i) {
-    Tuple t({expr::Value(keys[i % keys.size()]),
-             expr::Value(dist::RandomVar(
-                 std::make_shared<dist::GaussianDist>(2.0 * i, 1.0), 10))});
-    t.set_sequence(i);
-    tuples.push_back(std::move(t));
-  }
-
-  stream::DisorderSpec spec;
-  spec.max_displacement = 6;
-  spec.seed = 0xfeed;
-  // Materialize the disordered delivery once so the scalar and batched
-  // runs see the identical stream.
-  stream::DisorderInjector injector(
-      std::make_unique<VectorScan>(keyed, tuples), spec);
-  auto disordered = Collect(injector);
-  ASSERT_TRUE(disordered.ok());
-  ASSERT_EQ(disordered->size(), tuples.size());
-
-  engine::WindowAggregateOptions wo;
-  wo.window_size = 4;
-  wo.emit_revisions = true;
-
-  auto serial = engine::WindowAggregate::Make(
-      std::make_unique<PreservingScan>(keyed, *disordered), "x", "a",
-      wo, "key");
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto golden = Collect(**serial);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  ASSERT_FALSE(golden->empty());
-
-  const Schema& schema = (*serial)->schema();
-  auto batched = engine::WindowAggregate::Make(
-      std::make_unique<PreservingScan>(keyed, *disordered), "x", "a", wo,
-      "key");
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  std::vector<Tuple> out;
-  auto ran = engine::Run(**batched, {.batched = true}, &out);
-  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-  ASSERT_EQ(out.size(), golden->size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(serde::ToJson(out[i], schema),
-              serde::ToJson((*golden)[i], schema))
-        << "output " << i;
-  }
-  EXPECT_EQ((*batched)->shed_late(), (*serial)->shed_late());
 }
 
 // A plan drained, Reset and drained again delivers the same intervals:

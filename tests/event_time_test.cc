@@ -1,7 +1,6 @@
 // Event-time robustness: the WatermarkPolicy, the bounded-lateness
-// ReorderBuffer, late-tuple revision in the time- and count-based window
-// aggregates (with checkpoint v4 round trips), the disordered event-time
-// source, distribution-drift quarantine, and the AQL WITHIN/LATENESS
+// ReorderBuffer, late-tuple revision in the time-based window aggregate
+// (with checkpoint round trips), the disordered event-time source, distribution-drift quarantine, and the AQL WITHIN/LATENESS
 // surface.
 
 #include <bit>
@@ -23,7 +22,6 @@
 #include "src/engine/reorder_buffer.h"
 #include "src/engine/scan.h"
 #include "src/engine/time_window_aggregate.h"
-#include "src/engine/window_aggregate.h"
 #include "src/obs/metrics.h"
 #include "src/query/parser.h"
 #include "src/query/planner.h"
@@ -48,9 +46,6 @@ using engine::TimeWindowAggregate;
 using engine::TimeWindowOptions;
 using engine::Tuple;
 using engine::VectorScan;
-using engine::WindowAggregate;
-using engine::WindowAggregateOptions;
-using engine::WindowKind;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -734,7 +729,7 @@ TEST(TimeWindowCoreTest, TiesFoldInSequenceOrderInEveryMode) {
 }
 
 TEST(TimeWindowCoreTest, BeyondHorizonUnsupportedValueFailsLoudly) {
-  // A value the window cannot aggregate (non-Gaussian, no CLT opt-in)
+  // A value the window cannot aggregate (non-Gaussian)
   // fails with NotImplemented in order; a straggler carrying it beyond
   // the lateness horizon must fail the same way, not vanish as shed.
   auto histogram = dist::HistogramDist::Make({0.0, 1.0, 2.0}, {0.5, 0.5});
@@ -762,206 +757,6 @@ TEST(TimeWindowCoreTest, BeyondHorizonUnsupportedValueFailsLoudly) {
     EXPECT_TRUE(out.status().IsNotImplemented()) << out.status().ToString();
     EXPECT_EQ((*agg)->shed_late(), 0u);
   }
-}
-
-// ---------------------------------------------------------------------
-// Count-based windows: revision mode and checkpoints
-
-Schema KeyedSchema() {
-  Schema s;
-  EXPECT_TRUE(s.AddField({"key", FieldType::kString}).ok());
-  EXPECT_TRUE(s.AddField({"x", FieldType::kUncertain}).ok());
-  return s;
-}
-
-Tuple KeyedTuple(const std::string& key, double mean, uint64_t seq) {
-  Tuple t({expr::Value(key),
-           expr::Value(dist::RandomVar(
-               std::make_shared<dist::GaussianDist>(mean, 1.0), 10))});
-  t.set_sequence(seq);
-  return t;
-}
-
-Schema ValueSchema() {
-  Schema s;
-  EXPECT_TRUE(s.AddField({"x", FieldType::kUncertain}).ok());
-  return s;
-}
-
-Tuple ValueTuple(double mean, uint64_t seq) {
-  Tuple t({expr::Value(dist::RandomVar(
-      std::make_shared<dist::GaussianDist>(mean, 1.0), 10))});
-  t.set_sequence(seq);
-  return t;
-}
-
-TEST(CountWindowRevisionTest, LateArrivalRevisesCurrentWindow) {
-  // Sequences 0,1,3 then late 2: the straggler lands inside the
-  // retained window [1,3] and displaces 1, so {2,3} is re-emitted.
-  std::vector<Tuple> tuples = {ValueTuple(10, 0), ValueTuple(20, 1),
-                               ValueTuple(40, 3), ValueTuple(30, 2)};
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.emit_revisions = true;
-  auto agg = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), tuples), "x", "a", opts);
-  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->size(), 3u);
-  EXPECT_DOUBLE_EQ((*out)[0].value(0).random_var()->Mean(), 15.0);
-  EXPECT_FALSE(*(*out)[0].value(1).bool_value());
-  EXPECT_DOUBLE_EQ((*out)[1].value(0).random_var()->Mean(), 30.0);
-  EXPECT_FALSE(*(*out)[1].value(1).bool_value());
-  EXPECT_DOUBLE_EQ((*out)[2].value(0).random_var()->Mean(), 35.0);
-  EXPECT_TRUE(*(*out)[2].value(1).bool_value());
-  EXPECT_EQ((*agg)->shed_late(), 0u);
-}
-
-TEST(CountWindowRevisionTest, StragglerBelowEvictionHorizonIsShed) {
-  // After 0,1,2,3 with window 2 the horizon is 1; a redelivered 0 has
-  // slid past and is shed, not revised.
-  std::vector<Tuple> tuples = {ValueTuple(10, 0), ValueTuple(20, 1),
-                               ValueTuple(30, 2), ValueTuple(40, 3),
-                               ValueTuple(10, 0)};
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.emit_revisions = true;
-  auto agg = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), tuples), "x", "a", opts);
-  ASSERT_TRUE(agg.ok());
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 3u);
-  EXPECT_EQ((*agg)->shed_late(), 1u);
-}
-
-TEST(CountWindowRevisionTest, RevisionModeRejectsTumblingWindows) {
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.kind = WindowKind::kTumbling;
-  opts.emit_revisions = true;
-  EXPECT_FALSE(WindowAggregate::Make(
-                   std::make_unique<PreservingScan>(ValueSchema(),
-                                                std::vector<Tuple>{}),
-                   "x", "a", opts)
-                   .ok());
-}
-
-// The same disordered keyed stream through the grouped window stepped
-// tuple at a time and batched: revision outputs must be bit-identical.
-TEST(CountWindowRevisionTest, ShardedMatchesSerialUnderDisorder) {
-  std::vector<Tuple> tuples;
-  const std::vector<std::string> keys = {"k0", "k1", "k2"};
-  for (uint64_t i = 0; i < 30; ++i) {
-    tuples.push_back(
-        KeyedTuple(keys[i % keys.size()], 10.0 * i, i));
-  }
-  // Swap within blocks so per-key sequences arrive out of order.
-  tuples = RotateBlocks(std::move(tuples), 5);
-
-  WindowAggregateOptions wo;
-  wo.window_size = 3;
-  wo.emit_revisions = true;
-
-  auto serial = engine::WindowAggregate::Make(
-      std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a", wo,
-      "key");
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto golden = Collect(**serial);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  ASSERT_FALSE(golden->empty());
-  bool any_revision = false;
-  for (const Tuple& t : *golden) {
-    any_revision = any_revision || *t.value(2).bool_value();
-  }
-  EXPECT_TRUE(any_revision);
-
-  const Schema& schema = (*serial)->schema();
-  auto batched = engine::WindowAggregate::Make(
-      std::make_unique<PreservingScan>(KeyedSchema(), tuples), "x", "a", wo,
-      "key");
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  std::vector<Tuple> out;
-  auto ran = engine::Run(**batched, {.batched = true}, &out);
-  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-  ASSERT_EQ(out.size(), golden->size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(serde::ToJson(out[i], schema),
-              serde::ToJson((*golden)[i], schema))
-        << "output " << i;
-  }
-  EXPECT_EQ((*batched)->shed_late(), 0u);
-}
-
-TEST(CountWindowRevisionTest, CheckpointV4RoundTrip) {
-  std::vector<Tuple> tuples = {ValueTuple(10, 0), ValueTuple(20, 1),
-                               ValueTuple(40, 3), ValueTuple(30, 2),
-                               ValueTuple(50, 4), ValueTuple(60, 5)};
-  WindowAggregateOptions opts;
-  opts.window_size = 2;
-  opts.emit_revisions = true;
-
-  auto golden_agg = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), tuples), "x", "a", opts);
-  ASSERT_TRUE(golden_agg.ok());
-  auto golden = Collect(**golden_agg);
-  ASSERT_TRUE(golden.ok());
-
-  auto agg1 = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), tuples), "x", "a", opts);
-  ASSERT_TRUE(agg1.ok());
-  std::vector<Tuple> head;
-  for (int i = 0; i < 2; ++i) {
-    auto t = (*agg1)->Next();
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(t->has_value());
-    head.push_back(**t);
-  }
-  auto blob = (*agg1)->SaveCheckpoint();
-  ASSERT_TRUE(blob.ok());
-
-  const size_t consumed = (*agg1)->input_consumed();
-  std::vector<Tuple> rest(tuples.begin() + consumed, tuples.end());
-  auto agg2 = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), std::move(rest)), "x",
-      "a", opts);
-  ASSERT_TRUE(agg2.ok());
-  ASSERT_TRUE((*agg2)->RestoreCheckpoint(*blob).ok());
-  auto tail = Collect(**agg2);
-  ASSERT_TRUE(tail.ok());
-
-  std::vector<Tuple> resumed = head;
-  resumed.insert(resumed.end(), tail->begin(), tail->end());
-  ASSERT_EQ(resumed.size(), golden->size());
-  const Schema& schema = (*golden_agg)->schema();
-  for (size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(serde::ToJson(resumed[i], schema),
-              serde::ToJson((*golden)[i], schema));
-  }
-}
-
-TEST(CountWindowRevisionTest, RevisionFlagMismatchRejected) {
-  // A non-revision checkpoint cannot restore into a revision-mode
-  // operator (and vice versa) — the window bookkeeping differs.
-  WindowAggregateOptions plain;
-  plain.window_size = 2;
-  auto agg_plain = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(),
-                                   std::vector<Tuple>{ValueTuple(1, 0)}),
-      "x", "a", plain);
-  ASSERT_TRUE(agg_plain.ok());
-  ASSERT_TRUE(Collect(**agg_plain).ok());
-  auto blob = (*agg_plain)->SaveCheckpoint();
-  ASSERT_TRUE(blob.ok());
-
-  WindowAggregateOptions rev = plain;
-  rev.emit_revisions = true;
-  auto agg_rev = WindowAggregate::Make(
-      std::make_unique<PreservingScan>(ValueSchema(), std::vector<Tuple>{}),
-      "x", "a", rev);
-  ASSERT_TRUE(agg_rev.ok());
-  EXPECT_TRUE((*agg_rev)->RestoreCheckpoint(*blob).IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------

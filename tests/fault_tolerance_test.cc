@@ -644,7 +644,7 @@ TEST(CheckpointTest, PartitionedWindowRoundTripsAllPartitions) {
   for (size_t r = 0; r < 30; ++r) {
     for (size_t k = 0; k < 5; ++k) {
       tuples.emplace_back(std::vector<expr::Value>{
-          expr::Value("k" + std::to_string(k)),
+          expr::Value(std::string("k") + std::to_string(k)),
           expr::Value(RandomVar(
               std::make_shared<dist::GaussianDist>(
                   rng.NextDouble(0.0, 10.0), 1.0),

@@ -127,11 +127,10 @@ TEST(AqlGroupByParallelTest, PlannedWindowBitIdenticalAcrossPullModes) {
   }
 }
 
-// A row the window cannot aggregate (a histogram without the CLT
-// approximation) in the middle of a batch: the rows before it are
-// stepped, emitted and counted exactly as a tuple-at-a-time pull steps
-// them, so a checkpoint taken after the error resumes at the right
-// input.
+// A row the window cannot aggregate (a histogram) in the middle of a
+// batch: the rows before it are stepped, emitted and counted exactly as
+// a tuple-at-a-time pull steps them, so a checkpoint taken after the
+// error resumes at the right input.
 TEST(ParallelDeterminismTest, FailingRowLeavesEarlierRowsStepped) {
   std::vector<Tuple> input = KeyedInput(300);
   auto histogram = dist::LearnHistogram(

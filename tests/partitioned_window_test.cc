@@ -11,7 +11,6 @@
 
 #include "src/common/logging.h"
 #include "src/dist/gaussian.h"
-#include "src/dist/learner.h"
 #include "src/engine/executor.h"
 #include "src/engine/scan.h"
 #include "src/query/parser.h"
@@ -121,30 +120,6 @@ TEST(WindowKindTest, TumblingUnpartitioned) {
   ASSERT_EQ(out->size(), 2u);
   EXPECT_DOUBLE_EQ((*out)[0].value(0).random_var()->Mean(), 20.0);
   EXPECT_DOUBLE_EQ((*out)[1].value(0).random_var()->Mean(), 50.0);
-}
-
-TEST(WindowCltTest, HistogramInputsViaClt) {
-  Schema s;
-  ASSERT_TRUE(s.AddField({"x", FieldType::kUncertain}).ok());
-  auto learned = dist::LearnHistogram(
-      std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8}, {});
-  ASSERT_TRUE(learned.ok());
-  std::vector<Tuple> tuples(
-      4, Tuple({expr::Value(RandomVar(*learned))}));
-  auto scan = std::make_unique<VectorScan>(s, tuples);
-  WindowAggregateOptions opts;
-  opts.window_size = 4;
-  opts.allow_clt_approximation = true;
-  auto agg = WindowAggregate::Make(std::move(scan), "x", "avg", opts);
-  ASSERT_TRUE(agg.ok());
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->size(), 1u);
-  const RandomVar rv = *(*out)[0].value(0).random_var();
-  EXPECT_EQ(rv.distribution()->kind(), dist::DistributionKind::kGaussian);
-  EXPECT_NEAR(rv.Mean(), learned->distribution->Mean(), 1e-9);
-  EXPECT_NEAR(rv.Variance(), learned->distribution->Variance() / 4.0,
-              1e-9);
 }
 
 // Lemma 3 under repeated source sequences: two feeds concatenated, each

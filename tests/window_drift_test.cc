@@ -177,13 +177,14 @@ TEST(WindowDriftTest, NaiveEvictSubtractFailsOnThisSequence) {
 }
 
 TEST(WindowDriftTest, RejectsUnknownCheckpointVersion) {
-  // wagg.v6 is the one checkpoint format; retired versions of the window
-  // operators and unknown ones are all refused as corrupt.
+  // wagg.v7 is the one checkpoint format; retired versions of the window
+  // operators (wagg.v6 carried revision-mode bookkeeping) and unknown
+  // ones are all refused as corrupt.
   Schema keyed;
   ASSERT_TRUE(keyed.AddField({"k", FieldType::kString}).ok());
   ASSERT_TRUE(keyed.AddField({"x", FieldType::kDouble}).ok());
   for (const char* version :
-       {"wagg.v99", "wagg.v5", "wagg.v4", "wagg.v1", "pwagg.v4",
+       {"wagg.v99", "wagg.v6", "wagg.v5", "wagg.v4", "wagg.v1", "pwagg.v4",
         "spwagg.v2"}) {
     serde::CheckpointWriter w;
     w.Token(version);
