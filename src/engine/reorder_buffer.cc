@@ -73,7 +73,7 @@ ReorderBuffer::ReorderBuffer(OperatorPtr child, size_t ts_index,
 
 void ReorderBuffer::UpdateGauges() {
   if (m_depth_ != nullptr) {
-    m_depth_->Set(static_cast<int64_t>(buffer_.size()));
+    m_depth_->Set(static_cast<int64_t>(buffered_count()));
   }
   if (m_watermark_milli_ != nullptr && watermark_.has_observation()) {
     m_watermark_milli_->Set(
@@ -107,48 +107,48 @@ void ReorderBuffer::ReleaseCharge(Held& held) {
   held.bytes = 0;
 }
 
-void ReorderBuffer::Insert(double ts, Tuple t, size_t bytes) {
-  Held held{{ts, t.sequence()}, std::move(t), bytes};
-  if (buffer_.empty() || !(held.key < buffer_.back().key)) {
-    buffer_.push_back(std::move(held));
+void ReorderBuffer::Insert(double ts, Tuple&& t, size_t bytes) {
+  const std::pair<double, uint64_t> key{ts, t.sequence()};
+  // Released tuples are delivered first, whatever their keys.
+  if (buffer_.size() == released_ || !(key < buffer_.back().key)) {
+    buffer_.emplace_back(key, std::move(t), bytes);
     return;
   }
   auto it = std::upper_bound(
-      buffer_.begin(), buffer_.end(), held.key,
-      [](const std::pair<double, uint64_t>& key, const Held& h) {
-        return key < h.key;
+      buffer_.begin() + static_cast<std::ptrdiff_t>(released_),
+      buffer_.end(), key,
+      [](const std::pair<double, uint64_t>& k, const Held& h) {
+        return k < h.key;
       });
-  buffer_.insert(it, std::move(held));
+  buffer_.emplace(it, key, std::move(t), bytes);
 }
 
 void ReorderBuffer::ReleaseUpToWatermark() {
   const double wm = watermark_.watermark();
   const double eff = EffectiveWatermark();
-  while (!buffer_.empty() && buffer_.front().key.first <= eff) {
-    if (buffer_.front().key.first > wm) {
+  while (released_ < buffer_.size() && buffer_[released_].key.first <= eff) {
+    if (buffer_[released_].key.first > wm) {
       // Released ahead of the true watermark: the governed horizon cut
       // the hold short. A straggler this release outruns will surface
       // late downstream — precision shed, data kept.
       ++stats_.early_releases;
       if (m_early_ != nullptr) m_early_->Increment();
     }
-    ReleaseCharge(buffer_.front());
-    ready_.push_back(std::move(buffer_.front().tuple));
-    buffer_.pop_front();
+    ReleaseCharge(buffer_[released_]);
+    ++released_;
   }
 }
 
 void ReorderBuffer::EnforceCapacity() {
   if (options_.capacity == 0) return;
-  while (buffer_.size() > options_.capacity) {
-    ReleaseCharge(buffer_.front());
+  while (buffered_count() > options_.capacity) {
+    ReleaseCharge(buffer_[released_]);
     if (options_.overflow == ReorderOverflowPolicy::kShedOldest) {
-      buffer_.pop_front();
+      buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(released_));
       ++stats_.shed;
       if (m_shed_ != nullptr) m_shed_->Increment();
     } else {
-      ready_.push_back(std::move(buffer_.front().tuple));
-      buffer_.pop_front();
+      ++released_;
       ++stats_.forced_releases;
       if (m_forced_ != nullptr) m_forced_->Increment();
     }
@@ -169,21 +169,19 @@ void ReorderBuffer::PruneSeen() {
 
 Result<std::optional<Tuple>> ReorderBuffer::Next() {
   for (;;) {
-    if (!ready_.empty()) {
-      Tuple t = std::move(ready_.front());
-      ready_.pop_front();
+    if (released_ > 0) {
+      std::optional<Tuple> out(std::move(buffer_.front().tuple));
+      buffer_.pop_front();
+      --released_;
       UpdateGauges();
-      return std::optional<Tuple>(std::move(t));
+      return out;
     }
     if (exhausted_) {
       if (!buffer_.empty()) {
-        // End of stream: flush everything still held, in event-time
+        // End of stream: release everything still held, in event-time
         // order.
-        for (Held& held : buffer_) {
-          ReleaseCharge(held);
-          ready_.push_back(std::move(held.tuple));
-        }
-        buffer_.clear();
+        for (Held& held : buffer_) ReleaseCharge(held);
+        released_ = buffer_.size();
         continue;
       }
       return std::optional<Tuple>(std::nullopt);
@@ -255,7 +253,7 @@ Result<std::optional<Tuple>> ReorderBuffer::Next() {
 Status ReorderBuffer::Reset() {
   for (Held& held : buffer_) ReleaseCharge(held);
   buffer_.clear();
-  ready_.clear();
+  released_ = 0;
   seen_.clear();
   watermark_.Reset();
   exhausted_ = false;
@@ -283,13 +281,13 @@ Result<std::string> ReorderBuffer::SaveCheckpoint() const {
   w.Uint(stats_.early_releases);
   w.Uint(has_horizon_floor_ ? 1 : 0);
   w.Double(has_horizon_floor_ ? horizon_floor_ : 0.0);
-  w.Uint(buffer_.size());
-  for (const Held& held : buffer_) {
-    AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, held.tuple));
+  w.Uint(buffered_count());
+  for (size_t i = released_; i < buffer_.size(); ++i) {
+    AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, buffer_[i].tuple));
   }
-  w.Uint(ready_.size());
-  for (const Tuple& tuple : ready_) {
-    AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, tuple));
+  w.Uint(released_);
+  for (size_t i = 0; i < released_; ++i) {
+    AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, buffer_[i].tuple));
   }
   w.Uint(seen_.size());
   for (const auto& [seq, ts] : seen_) {
@@ -339,10 +337,11 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
     buffer.insert(it, std::move(held));
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t ready, r.NextCount(16));
-  std::deque<Tuple> ready_q;
+  std::deque<Held> released;
   for (uint64_t i = 0; i < ready; ++i) {
     AUSDB_ASSIGN_OR_RETURN(Tuple t, serde::ReadTupleCheckpoint(r));
-    ready_q.push_back(std::move(t));
+    // A released tuple's key is never compared again.
+    released.push_back({{0.0, t.sequence()}, std::move(t)});
   }
   AUSDB_ASSIGN_OR_RETURN(uint64_t seen_count, r.NextCount(4));
   std::map<uint64_t, double> seen;
@@ -366,8 +365,9 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
       }
     }
   }
-  buffer_ = std::move(buffer);
-  ready_ = std::move(ready_q);
+  released_ = released.size();
+  buffer_ = std::move(released);
+  for (Held& held : buffer) buffer_.push_back(std::move(held));
   seen_ = std::move(seen);
   watermark_.RestoreFromMaxTimestamp(max_ts);
   exhausted_ = exhausted != 0;

@@ -128,20 +128,20 @@ class ReorderBuffer final : public Operator {
 
   /// Tuples currently held (excludes released-but-undelivered ones) —
   /// the crash-point sweep asserts this is non-zero at a crash site.
-  size_t buffered_count() const { return buffer_.size(); }
+  size_t buffered_count() const { return buffer_.size() - released_; }
 
   /// Tuples released but not yet delivered through Next() — together
   /// with buffered_count() this closes the accounting invariant:
   /// admitted == delivered + late + shed + duplicates-excluded +
   /// buffered + pending at every point of the pull loop.
-  size_t pending_release_count() const { return ready_.size(); }
+  size_t pending_release_count() const { return released_; }
 
  private:
   ReorderBuffer(OperatorPtr child, size_t ts_index,
                 ReorderBufferOptions options);
 
   /// A held tuple with its precomputed release key and the bytes it
-  /// charged against the memory budget (0 when uncharged).
+  /// charged against the memory budget (0 when uncharged or released).
   struct Held {
     std::pair<double, uint64_t> key;
     Tuple tuple;
@@ -160,12 +160,13 @@ class ReorderBuffer final : public Operator {
   /// Returns budget bytes charged for `held` (buffer exit).
   void ReleaseCharge(Held& held);
 
-  /// Inserts into buffer_ keeping (timestamp, sequence) order. Ordered
-  /// arrivals append at the back in O(1) — the hot path pays no
-  /// per-tuple node allocation, which is why this is a deque and not a
-  /// map — and in-bound disorder shifts at most O(buffered) entries.
-  void Insert(double ts, Tuple t, size_t bytes);
-  /// Moves buffered tuples at/below the watermark into ready_.
+  /// Inserts among the held tuples of buffer_ keeping (timestamp,
+  /// sequence) order. Ordered arrivals append at the back in O(1) — the
+  /// hot path pays no per-tuple node allocation, which is why this is a
+  /// deque and not a map — and in-bound disorder shifts at most
+  /// O(buffered) entries.
+  void Insert(double ts, Tuple&& t, size_t bytes);
+  /// Releases the held tuples at/below the watermark.
   void ReleaseUpToWatermark();
   void EnforceCapacity();
   void PruneSeen();
@@ -176,11 +177,13 @@ class ReorderBuffer final : public Operator {
   ReorderBufferOptions options_;
   stream::WatermarkPolicy watermark_;
 
-  /// Held tuples, sorted by (timestamp, sequence) — release order,
-  /// oldest at the front.
+  /// Released tuples awaiting delivery through Next(), in release
+  /// order, then the held tuples sorted by (timestamp, sequence). A
+  /// tuple is released in place, so an in-order stream moves each tuple
+  /// into and out of one container.
   std::deque<Held> buffer_;
-  /// Released, awaiting delivery through Next().
-  std::deque<Tuple> ready_;
+  /// How many tuples at the front of buffer_ are released.
+  size_t released_ = 0;
   /// Admitted sequences (dedupe_by_sequence), with their timestamps for
   /// watermark-based pruning.
   std::map<uint64_t, double> seen_;

@@ -12,37 +12,6 @@
 namespace ausdb {
 namespace engine {
 
-namespace {
-
-/// The plain-double scan-and-finalize of every time-window emission:
-/// sums the means and variances of the TimedEntry range [first, last) in
-/// iteration order, takes the minimum d.f. sample size (Lemma 3), and
-/// for AVG divides by the entry count when the range is non-empty.
-template <typename It>
-KeyWindowState::Aggregate ScanAggregate(It first, It last, WindowAggFn fn) {
-  double sum_mean = 0.0, sum_variance = 0.0;
-  size_t count = 0;
-  KeyWindowState::Aggregate agg;
-  agg.df = dist::RandomVar::kCertainSampleSize;
-  for (; first != last; ++first) {
-    const WindowEntry& e = first->entry;
-    sum_mean += e.mean;
-    sum_variance += e.variance;
-    agg.df = std::min(agg.df, e.sample_size);
-    ++count;
-  }
-  const double w = static_cast<double>(count);
-  agg.mean = sum_mean;
-  agg.variance = sum_variance;
-  if (fn == WindowAggFn::kAvg && count > 0) {
-    agg.mean /= w;
-    agg.variance /= w * w;
-  }
-  return agg;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<TimeWindowAggregate>> TimeWindowAggregate::Make(
     OperatorPtr child, std::string timestamp_column,
     std::string value_column, std::string output_name,
@@ -141,18 +110,22 @@ Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
     }
     last_timestamp_ = std::max(last_timestamp_, ts);
     InsertSorted({ts, t->sequence(), e});
+    // Evict what the window ending at max_ts no longer covers.
+    size_t end = window_.size();
+    Slide(current_, front_, end, last_timestamp_);
     // Retire what no window can still use: outside every revisable
     // window (revision mode) or the current one (allowed_lateness == 0).
     const double horizon = last_timestamp_ - options_.allowed_lateness;
     const double retention = horizon - options_.duration;
     while (!window_.empty() && window_.front().timestamp <= retention) {
       window_.pop_front();
+      --front_;
     }
 
     if (!late || !options_.emit_revisions) {
       // Emit the window ending at max_ts; a lax straggler joins it.
       pending_.push_back(
-          ComputeWindow(last_timestamp_, /*revision=*/false, *t));
+          MakeOutput(last_timestamp_, current_, /*revision=*/false, *t));
       if (options_.emit_revisions) {
         while (!emitted_ends_.empty() && emitted_ends_.front() <= horizon &&
                emitted_ends_.front() < ts) {
@@ -168,16 +141,20 @@ Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
     // Re-emit every already-emitted window this straggler falls into —
     // ends in [ts, ts + duration) — plus the straggler's own window end
     // if it was never emitted, all ascending so downstream folds see
-    // revisions in event-time order.
+    // revisions in event-time order. A copy of the current window slides
+    // from end to end.
     auto own =
         std::lower_bound(emitted_ends_.begin(), emitted_ends_.end(), ts);
     if (own == emitted_ends_.end() || *own != ts) {
       own = emitted_ends_.insert(own, ts);
     }
+    RunningWindow revising = current_;
+    size_t lo = front_, hi = window_.size();
     size_t revised = 0;
     for (auto it = own;
          it != emitted_ends_.end() && *it < ts + options_.duration; ++it) {
-      pending_.push_back(ComputeWindow(*it, /*revision=*/true, *t));
+      Slide(revising, lo, hi, *it);
+      pending_.push_back(MakeOutput(*it, revising, /*revision=*/true, *t));
       ++revised;
     }
     if (options_.journal != nullptr && revised > 0) {
@@ -190,6 +167,36 @@ Result<std::optional<Tuple>> TimeWindowAggregate::Next() {
   }
 }
 
+void TimeWindowAggregate::RunningWindow::Add(const WindowEntry& e) {
+  sum_mean.Add(e.mean);
+  sum_variance.Add(e.variance);
+  ++df_counts[e.sample_size];
+  ++count;
+}
+
+void TimeWindowAggregate::RunningWindow::Remove(const WindowEntry& e) {
+  sum_mean.Remove(e.mean);
+  sum_variance.Remove(e.variance);
+  auto it = df_counts.find(e.sample_size);
+  if (--it->second == 0) df_counts.erase(it);
+  --count;
+}
+
+KeyWindowState::Aggregate TimeWindowAggregate::RunningWindow::Read(
+    WindowAggFn fn) const {
+  KeyWindowState::Aggregate agg;
+  agg.mean = sum_mean.Read();
+  agg.variance = sum_variance.Read();
+  agg.df = count == 0 ? dist::RandomVar::kCertainSampleSize
+                      : df_counts.begin()->first;
+  if (fn == WindowAggFn::kAvg && count > 0) {
+    const double w = static_cast<double>(count);
+    agg.mean /= w;
+    agg.variance /= w * w;
+  }
+  return agg;
+}
+
 void TimeWindowAggregate::InsertSorted(const TimedEntry& e) {
   // Arrivals are mostly in order: scan back from the end.
   auto pos = window_.end();
@@ -199,20 +206,38 @@ void TimeWindowAggregate::InsertSorted(const TimedEntry& e) {
     --pos;
   }
   window_.insert(pos, e);
+  if (e.timestamp > last_timestamp_ - options_.duration) {
+    current_.Add(e.entry);
+  } else {
+    // A straggler behind the current window lands before its front.
+    ++front_;
+  }
 }
 
-TimeWindowAggregate::Output TimeWindowAggregate::ComputeWindow(
-    double window_end, bool revision, const Tuple& trigger) const {
-  const double lo = window_end - options_.duration;
-  const auto first = std::partition_point(
-      window_.begin(), window_.end(),
-      [lo](const TimedEntry& e) { return e.timestamp <= lo; });
-  const auto last = std::partition_point(
-      first, window_.end(),
-      [window_end](const TimedEntry& e) { return e.timestamp <= window_end; });
+void TimeWindowAggregate::Slide(RunningWindow& state, size_t& lo,
+                                size_t& hi, double end) const {
+  const double lower = end - options_.duration;
+  // Adds first, so every d.f. count stays non-negative.
+  while (lo > 0 && window_[lo - 1].timestamp > lower) {
+    state.Add(window_[--lo].entry);
+  }
+  while (hi < window_.size() && window_[hi].timestamp <= end) {
+    state.Add(window_[hi++].entry);
+  }
+  while (hi > lo && window_[hi - 1].timestamp > end) {
+    state.Remove(window_[--hi].entry);
+  }
+  while (lo < hi && window_[lo].timestamp <= lower) {
+    state.Remove(window_[lo++].entry);
+  }
+}
+
+TimeWindowAggregate::Output TimeWindowAggregate::MakeOutput(
+    double window_end, const RunningWindow& state, bool revision,
+    const Tuple& trigger) const {
   Output o;
   o.window_end = window_end;
-  o.aggregate = ScanAggregate(first, last, options_.fn);
+  o.aggregate = state.Read(options_.fn);
   o.revision = revision;
   o.sequence = trigger.sequence();
   o.membership_prob = trigger.membership_prob();
@@ -235,6 +260,8 @@ Tuple TimeWindowAggregate::MaterializeOutput(const Output& o) const {
 
 Status TimeWindowAggregate::Reset() {
   window_.clear();
+  front_ = 0;
+  current_ = {};
   emitted_ends_.clear();
   pending_.clear();
   last_timestamp_ = -std::numeric_limits<double>::infinity();
@@ -333,6 +360,11 @@ Status TimeWindowAggregate::RestoreCheckpoint(std::string_view blob) {
     pending.push_back(o);
   }
   window_ = std::move(window);
+  // The running state is a pure function of the retained entries.
+  front_ = 0;
+  current_ = {};
+  size_t end = 0;
+  Slide(current_, front_, end, last_timestamp);
   emitted_ends_ = std::move(ends);
   pending_ = std::move(pending);
   last_timestamp_ = last_timestamp;

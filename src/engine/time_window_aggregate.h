@@ -3,8 +3,10 @@
 
 #include <deque>
 #include <limits>
+#include <map>
 #include <string>
 
+#include "src/common/math_util.h"
 #include "src/engine/operator.h"
 #include "src/engine/window_aggregate.h"
 #include "src/obs/event_journal.h"
@@ -65,13 +67,22 @@ struct TimeWindowOptions {
 /// window; a revising window emits or revises the window ends the
 /// straggler touches.
 ///
-/// Determinism contract (every mode): the window entry set is kept
-/// sorted by (timestamp, sequence) and every emission recomputes its
-/// aggregate by one ScanAggregate over that ordering, so an output for
-/// window end W depends only on the *set* of entries in (W-duration, W]
-/// — never on arrival order, including the order in which tuples with
-/// equal timestamps arrive — and revision folds are bit-identical
-/// across disorder within the lateness bound.
+/// Running state: the window (max_ts - duration, max_ts] is kept as
+/// exact sums of its means and variances (ExactSum) plus a count per
+/// distinct d.f. sample size, so the Lemma 3 minimum survives eviction.
+/// An in-order arrival adds its entry and evicts what left the window,
+/// O(1) amortized. A revision copies that state and slides it to each
+/// revised window end, adding and removing only the entries between the
+/// ends, which the retained entries (at most allowed_lateness older than
+/// the window) cover.
+///
+/// Determinism contract (every mode): each output's mean and variance
+/// are the correctly rounded sums of its window's entry set (then
+/// divided by the count for AVG), so an output for window end W depends
+/// only on the *set* of entries in (W-duration, W] — never on arrival
+/// order, including the order in which tuples with equal timestamps
+/// arrive — and revision folds are bit-identical across disorder within
+/// the lateness bound.
 class TimeWindowAggregate final : public Operator {
  public:
   static Result<std::unique_ptr<TimeWindowAggregate>> Make(
@@ -107,6 +118,20 @@ class TimeWindowAggregate final : public Operator {
     WindowEntry entry;
   };
 
+  /// Exact running aggregate of a multiset of window entries.
+  struct RunningWindow {
+    ExactSum sum_mean;
+    ExactSum sum_variance;
+    /// Live entries per d.f. sample size; the first key is the minimum.
+    std::map<size_t, uint64_t> df_counts;
+    uint64_t count = 0;
+
+    void Add(const WindowEntry& e);
+    /// Removes an entry added earlier.
+    void Remove(const WindowEntry& e);
+    KeyWindowState::Aggregate Read(WindowAggFn fn) const;
+  };
+
   /// One computed (possibly revision) output awaiting delivery.
   struct Output {
     double window_end;
@@ -121,12 +146,17 @@ class TimeWindowAggregate final : public Operator {
                       size_t value_index, Schema out_schema,
                       TimeWindowOptions options);
 
-  /// Inserts keeping window_ sorted by (timestamp, sequence).
+  /// Inserts keeping window_ sorted by (timestamp, sequence), adding the
+  /// entry to current_ when it falls in the window ending at
+  /// last_timestamp_ and counting it into front_ when it falls behind.
   void InsertSorted(const TimedEntry& e);
-  /// Aggregate over entries with timestamp in (end - duration, end],
-  /// scanned in the deque's (timestamp, sequence) order.
-  Output ComputeWindow(double window_end, bool revision,
-                       const Tuple& trigger) const;
+  /// Moves `state`, the aggregate of window_[lo, hi), to the window
+  /// (end - duration, end], updating lo and hi: adds and removes only the
+  /// entries between the two windows.
+  void Slide(RunningWindow& state, size_t& lo, size_t& hi,
+             double end) const;
+  Output MakeOutput(double window_end, const RunningWindow& state,
+                    bool revision, const Tuple& trigger) const;
   Tuple MaterializeOutput(const Output& o) const;
 
   OperatorPtr child_;
@@ -135,6 +165,11 @@ class TimeWindowAggregate final : public Operator {
   Schema schema_;
   TimeWindowOptions options_;
   std::deque<TimedEntry> window_;
+  /// window_[front_, end) is the window ending at last_timestamp_;
+  /// current_ is its running aggregate. Entries before front_ are kept
+  /// only for revisions.
+  size_t front_ = 0;
+  RunningWindow current_;
   double last_timestamp_ = -std::numeric_limits<double>::infinity();
   uint64_t input_consumed_ = 0;
   uint64_t shed_late_ = 0;
