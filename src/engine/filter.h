@@ -12,22 +12,9 @@ namespace engine {
 
 /// Policy knobs for the Filter operator.
 struct FilterOptions {
-  /// Tuples whose predicate probability is <= this are dropped outright
-  /// (their possible-world contribution is negligible). 0 keeps every
-  /// tuple with positive probability, as in the paper's semantics.
-  double min_probability = 0.0;
-
   /// For significance predicates with coupled tests: keep UNSURE tuples
   /// (flagged via Tuple::significance) instead of dropping them.
   bool keep_unsure = false;
-
-  /// Orion-style conditioning: when the predicate is a simple range
-  /// comparison `column cmp constant` over an uncertain column, replace
-  /// that column's distribution in surviving tuples with its conditional
-  /// (truncated, renormalized) version — the distribution of the
-  /// attribute in the possible worlds where the tuple survived. The d.f.
-  /// sample size is unchanged (same underlying observations).
-  bool condition_distributions = false;
 
   /// Evaluator tuning (Monte Carlo sample count etc.).
   expr::EvalOptions eval;

@@ -49,16 +49,10 @@ ReorderBuffer::ReorderBuffer(OperatorPtr child, size_t ts_index,
         "ausdb_engine_reorder_late_total", labels,
         "Tuples that arrived at/below the watermark (passed through "
         "late)");
-    m_shed_ = options_.metrics->GetCounter(
-        "ausdb_engine_reorder_shed_total", labels,
-        "Tuples dropped by the shed-oldest overflow policy");
     m_forced_ = options_.metrics->GetCounter(
         "ausdb_engine_reorder_forced_release_total", labels,
-        "Tuples released before their watermark by the block overflow "
-        "policy");
-    m_duplicates_ = options_.metrics->GetCounter(
-        "ausdb_engine_reorder_duplicates_total", labels,
-        "Tuples dropped by sequence-number dedupe");
+        "Tuples released before their watermark because the buffer was "
+        "at capacity");
     m_early_ = options_.metrics->GetCounter(
         "ausdb_engine_reorder_governed_early_release_total", labels,
         "Tuples released before the true watermark because a governed "
@@ -143,27 +137,9 @@ void ReorderBuffer::EnforceCapacity() {
   if (options_.capacity == 0) return;
   while (buffered_count() > options_.capacity) {
     ReleaseCharge(buffer_[released_]);
-    if (options_.overflow == ReorderOverflowPolicy::kShedOldest) {
-      buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(released_));
-      ++stats_.shed;
-      if (m_shed_ != nullptr) m_shed_->Increment();
-    } else {
-      ++released_;
-      ++stats_.forced_releases;
-      if (m_forced_ != nullptr) m_forced_->Increment();
-    }
-  }
-}
-
-void ReorderBuffer::PruneSeen() {
-  const double horizon =
-      watermark_.watermark() - options_.lateness_bound;
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (it->second < horizon) {
-      it = seen_.erase(it);
-    } else {
-      ++it;
-    }
+    ++released_;
+    ++stats_.forced_releases;
+    if (m_forced_ != nullptr) m_forced_->Increment();
   }
 }
 
@@ -197,14 +173,6 @@ Result<std::optional<Tuple>> ReorderBuffer::Next() {
       return Status::InvalidArgument(
           "non-finite event timestamp in reorder buffer: " +
           t->value(ts_index_).ToString());
-    }
-    if (options_.dedupe_by_sequence) {
-      auto [it, inserted] = seen_.try_emplace(t->sequence(), ts);
-      if (!inserted) {
-        ++stats_.duplicates;
-        if (m_duplicates_ != nullptr) m_duplicates_->Increment();
-        continue;
-      }
     }
     ++stats_.admitted;
     if (m_lag_ != nullptr && watermark_.has_observation() &&
@@ -241,10 +209,7 @@ Result<std::optional<Tuple>> ReorderBuffer::Next() {
       }
     }
     Insert(ts, std::move(*t), charged);
-    if (watermark_.Observe(ts) || floor_advanced) {
-      ReleaseUpToWatermark();
-      if (options_.dedupe_by_sequence) PruneSeen();
-    }
+    if (watermark_.Observe(ts) || floor_advanced) ReleaseUpToWatermark();
     EnforceCapacity();
     UpdateGauges();
   }
@@ -254,7 +219,6 @@ Status ReorderBuffer::Reset() {
   for (Held& held : buffer_) ReleaseCharge(held);
   buffer_.clear();
   released_ = 0;
-  seen_.clear();
   watermark_.Reset();
   exhausted_ = false;
   stats_ = ReorderStats{};
@@ -270,14 +234,12 @@ Result<std::string> ReorderBuffer::SaveCheckpoint() const {
   // restore would replay release decisions at the full horizon and
   // diverge. An ungoverned buffer never raises it, so it writes no
   // floor (0, 0.0) and no early releases.
-  w.Token("rob.v2");
+  w.Token("rob.v3");
   w.Double(watermark_.max_timestamp());
   w.Uint(exhausted_ ? 1 : 0);
   w.Uint(stats_.admitted);
   w.Uint(stats_.late);
-  w.Uint(stats_.shed);
   w.Uint(stats_.forced_releases);
-  w.Uint(stats_.duplicates);
   w.Uint(stats_.early_releases);
   w.Uint(has_horizon_floor_ ? 1 : 0);
   w.Double(has_horizon_floor_ ? horizon_floor_ : 0.0);
@@ -289,18 +251,13 @@ Result<std::string> ReorderBuffer::SaveCheckpoint() const {
   for (size_t i = 0; i < released_; ++i) {
     AUSDB_RETURN_NOT_OK(serde::WriteTupleCheckpoint(w, buffer_[i].tuple));
   }
-  w.Uint(seen_.size());
-  for (const auto& [seq, ts] : seen_) {
-    w.Uint(seq);
-    w.Double(ts);
-  }
   return std::move(w).Finish();
 }
 
 Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
   serde::CheckpointReader r(blob);
   AUSDB_ASSIGN_OR_RETURN(std::string_view tag, r.NextToken());
-  if (tag != "rob.v2") {
+  if (tag != "rob.v3") {
     return Status::Corruption("unknown reorder-checkpoint tag");
   }
   AUSDB_ASSIGN_OR_RETURN(double max_ts, r.NextDouble());
@@ -308,9 +265,7 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
   ReorderStats stats;
   AUSDB_ASSIGN_OR_RETURN(stats.admitted, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(stats.late, r.NextUint());
-  AUSDB_ASSIGN_OR_RETURN(stats.shed, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(stats.forced_releases, r.NextUint());
-  AUSDB_ASSIGN_OR_RETURN(stats.duplicates, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(stats.early_releases, r.NextUint());
   AUSDB_ASSIGN_OR_RETURN(uint64_t has_floor_raw, r.NextUint());
   const bool has_floor = has_floor_raw != 0;
@@ -343,13 +298,6 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
     // A released tuple's key is never compared again.
     released.push_back({{0.0, t.sequence()}, std::move(t)});
   }
-  AUSDB_ASSIGN_OR_RETURN(uint64_t seen_count, r.NextCount(4));
-  std::map<uint64_t, double> seen;
-  for (uint64_t i = 0; i < seen_count; ++i) {
-    AUSDB_ASSIGN_OR_RETURN(uint64_t seq, r.NextUint());
-    AUSDB_ASSIGN_OR_RETURN(double ts, r.NextDouble());
-    seen.emplace(seq, ts);
-  }
   // Swap the restored buffer in charge-coherently: hand back what the
   // old buffer held, then charge every restored tuple.
   if (options_.memory_budget != nullptr) {
@@ -368,7 +316,6 @@ Status ReorderBuffer::RestoreCheckpoint(std::string_view blob) {
   released_ = released.size();
   buffer_ = std::move(released);
   for (Held& held : buffer) buffer_.push_back(std::move(held));
-  seen_ = std::move(seen);
   watermark_.RestoreFromMaxTimestamp(max_ts);
   exhausted_ = exhausted != 0;
   stats_ = stats;

@@ -2,7 +2,6 @@
 #define AUSDB_ENGINE_REORDER_BUFFER_H_
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -15,40 +14,21 @@
 namespace ausdb {
 namespace engine {
 
-/// What a full ReorderBuffer does with the oldest buffered tuple.
-enum class ReorderOverflowPolicy {
-  /// Stall the watermark contract instead of dropping data: the oldest
-  /// buffered tuple is force-released early (before the watermark
-  /// passes it), counted in stats().forced_releases. Released output
-  /// stays monotone in event time, but a later in-bound straggler may
-  /// now surface as a late tuple downstream — precision is shed, data
-  /// never is.
-  kBlock,
-  /// Drop the oldest buffered tuple, counted in stats().shed. Bounded
-  /// memory at the cost of data loss — the loud (counted) variant of
-  /// what an unbounded queue would eventually do silently via OOM.
-  kShedOldest,
-};
-
 /// Options of the ReorderBuffer operator.
 struct ReorderBufferOptions {
   /// Event-time lateness bound, in timestamp units: tuples are held
   /// until the watermark (max observed timestamp minus this bound)
-  /// passes them. 0 degenerates to pass-through with duplicate/late
-  /// accounting only.
+  /// passes them. 0 degenerates to pass-through with late accounting
+  /// only.
   double lateness_bound = 0.0;
 
-  /// Maximum buffered tuples; 0 means unbounded. When exceeded,
-  /// `overflow` decides.
+  /// Maximum buffered tuples; 0 means unbounded. When exceeded, the
+  /// oldest buffered tuple is force-released early (before the
+  /// watermark passes it), counted in stats().forced_releases. Released
+  /// output stays monotone in event time, but a later in-bound
+  /// straggler may now surface as a late tuple downstream: precision is
+  /// shed, data never is.
   size_t capacity = 4096;
-
-  ReorderOverflowPolicy overflow = ReorderOverflowPolicy::kBlock;
-
-  /// Drop tuples whose sequence number was already admitted (at-least-
-  /// once upstreams re-delivering). The seen-set is pruned one lateness
-  /// bound below the watermark, so a duplicate older than
-  /// watermark - 2*bound passes through as an ordinary late tuple.
-  bool dedupe_by_sequence = false;
 
   /// When non-null, buffer observability is mirrored into
   /// `ausdb_engine_reorder_*` metrics labeled `{buffer=metrics_label}`.
@@ -81,9 +61,7 @@ struct ReorderBufferOptions {
 struct ReorderStats {
   size_t admitted = 0;          ///< tuples accepted from the child
   size_t late = 0;              ///< arrived at/below the watermark, passed through
-  size_t shed = 0;              ///< dropped on overflow (kShedOldest)
-  size_t forced_releases = 0;   ///< released early on overflow (kBlock)
-  size_t duplicates = 0;        ///< dropped by sequence dedupe
+  size_t forced_releases = 0;   ///< released early on overflow
   /// Released before the true watermark because a governed rung
   /// shortened the hold horizon.
   size_t early_releases = 0;
@@ -116,7 +94,7 @@ class ReorderBuffer final : public Operator {
 
   /// Checkpoints the watermark state and every buffered (and released-
   /// but-undelivered) tuple — checkpoint v4's new surface — so a crash
-  /// mid-disorder restores bit-identically. One format, token "rob.v2",
+  /// mid-disorder restores bit-identically. One format, token "rob.v3",
   /// which carries the governed horizon floor — restoring a governed
   /// buffer at full horizon would change release decisions.
   Result<std::string> SaveCheckpoint() const override;
@@ -132,8 +110,8 @@ class ReorderBuffer final : public Operator {
 
   /// Tuples released but not yet delivered through Next() — together
   /// with buffered_count() this closes the accounting invariant:
-  /// admitted == delivered + late + shed + duplicates-excluded +
-  /// buffered + pending at every point of the pull loop.
+  /// admitted == delivered + late + buffered + pending at every point
+  /// of the pull loop.
   size_t pending_release_count() const { return released_; }
 
  private:
@@ -169,7 +147,6 @@ class ReorderBuffer final : public Operator {
   /// Releases the held tuples at/below the watermark.
   void ReleaseUpToWatermark();
   void EnforceCapacity();
-  void PruneSeen();
   void UpdateGauges();
 
   OperatorPtr child_;
@@ -184,9 +161,6 @@ class ReorderBuffer final : public Operator {
   std::deque<Held> buffer_;
   /// How many tuples at the front of buffer_ are released.
   size_t released_ = 0;
-  /// Admitted sequences (dedupe_by_sequence), with their timestamps for
-  /// watermark-based pruning.
-  std::map<uint64_t, double> seen_;
   bool exhausted_ = false;
   ReorderStats stats_;
 
@@ -201,9 +175,7 @@ class ReorderBuffer final : public Operator {
   obs::Gauge* m_depth_ = nullptr;
   obs::Gauge* m_watermark_milli_ = nullptr;
   obs::Counter* m_late_ = nullptr;
-  obs::Counter* m_shed_ = nullptr;
   obs::Counter* m_forced_ = nullptr;
-  obs::Counter* m_duplicates_ = nullptr;
   obs::Counter* m_early_ = nullptr;
   obs::Histogram* m_lag_ = nullptr;
 };

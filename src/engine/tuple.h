@@ -63,8 +63,8 @@ class Tuple {
   void set_accuracy(size_t i, accuracy::AccuracyInfo info);
 
   /// Outcome of the last significance-predicate filter this tuple passed
-  /// through (TRUE tuples are kept; UNSURE tuples may be kept flagged,
-  /// per FilterOptions).
+  /// through (TRUE tuples are kept; UNSURE tuples are kept flagged under
+  /// FilterOptions::keep_unsure).
   const std::optional<hypothesis::TestOutcome>& significance() const {
     return significance_;
   }

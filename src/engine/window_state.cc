@@ -85,14 +85,11 @@ void KeyWindowState::RebuildMinDeque() {
 std::optional<KeyWindowState::Aggregate> KeyWindowState::Observe(
     const WindowEntry& e, const WindowAggregateOptions& options) {
   Push(e);
-  if (options.kind == WindowKind::kTumbling) {
-    if (window.size() < options.window_size) return std::nullopt;
-  } else {
-    if (window.size() > options.window_size) PopFront();
-    if (window.size() < options.window_size && !options.emit_partial) {
-      return std::nullopt;
-    }
+  if (options.kind == WindowKind::kSliding &&
+      window.size() > options.window_size) {
+    PopFront();
   }
+  if (window.size() < options.window_size) return std::nullopt;
 
   const double w = static_cast<double>(window.size());
   Aggregate agg;

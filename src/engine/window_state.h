@@ -35,11 +35,6 @@ struct WindowAggregateOptions {
   WindowAggFn fn = WindowAggFn::kAvg;
 
   WindowKind kind = WindowKind::kSliding;
-
-  /// Emit an output per input even before the window has filled (running
-  /// aggregate over the partial window). When false, output starts with
-  /// the window_size-th tuple. Sliding windows only.
-  bool emit_partial = false;
 };
 
 /// One window element: the moments and d.f. sample size extracted from an

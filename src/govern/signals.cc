@@ -70,19 +70,5 @@ SignalSnapshot LiveSignalSource::Snapshot(uint64_t epoch) {
   return snap;
 }
 
-ScriptedSignalSource::ScriptedSignalSource(
-    std::vector<SignalSnapshot> script)
-    : script_(std::move(script)) {
-  if (script_.empty()) script_.push_back(SignalSnapshot{});
-}
-
-SignalSnapshot ScriptedSignalSource::Snapshot(uint64_t epoch) {
-  const size_t idx =
-      std::min<size_t>(static_cast<size_t>(epoch), script_.size() - 1);
-  SignalSnapshot snap = script_[idx];
-  snap.epoch = epoch;
-  return snap;
-}
-
 }  // namespace govern
 }  // namespace ausdb

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/memory_budget.h"
 #include "src/obs/clock.h"
@@ -34,8 +33,8 @@ struct SignalSnapshot {
   /// plus non-blocking TryPush rejections).
   uint64_t backpressure_events = 0;
 
-  /// Cumulative tuples shed by overflow policies (the thing the
-  /// governor exists to prevent).
+  /// Cumulative tuples dropped by the pipeline (the thing the governor
+  /// exists to prevent).
   uint64_t shed_tuples = 0;
 
   /// Per-plan memory budget occupancy. limit == 0 disables the
@@ -91,7 +90,8 @@ class LiveSignalSource final : public SignalSource {
     const obs::Counter* push_waits = nullptr;
     const obs::Counter* try_rejections = nullptr;
 
-    /// Cumulative shed counter (e.g. ausdb_engine_reorder_shed_total).
+    /// Cumulative counter of dropped tuples (e.g.
+    /// ausdb_stream_supervision_quarantined_total).
     const obs::Counter* shed = nullptr;
 
     /// Per-plan budget; null disables memory pressure.
@@ -117,21 +117,6 @@ class LiveSignalSource final : public SignalSource {
   const obs::Clock* clock_;
   uint64_t last_epoch_nanos_ = 0;
   bool has_last_ = false;
-};
-
-/// \brief Deterministic source: replays a fixed per-epoch snapshot
-/// script. Epochs beyond the script repeat the last entry. The
-/// scripted-load equivalence harness is built on this — identical
-/// scripts must yield identical rung sequences and bit-identical
-/// output, across runs and thread counts.
-class ScriptedSignalSource final : public SignalSource {
- public:
-  explicit ScriptedSignalSource(std::vector<SignalSnapshot> script);
-
-  SignalSnapshot Snapshot(uint64_t epoch) override;
-
- private:
-  std::vector<SignalSnapshot> script_;
 };
 
 }  // namespace govern

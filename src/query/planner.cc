@@ -1,5 +1,6 @@
 #include "src/query/planner.h"
 
+#include "src/engine/filter.h"
 #include "src/engine/limit.h"
 #include "src/engine/project.h"
 #include "src/engine/reorder_buffer.h"
@@ -51,10 +52,7 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
   }
 
   if (query.where != nullptr) {
-    engine::FilterOptions fo = options.filter;
-    fo.eval = options.eval;
-    plan = std::make_unique<engine::Filter>(std::move(plan), query.where,
-                                            fo);
+    plan = std::make_unique<engine::Filter>(std::move(plan), query.where);
     plan = profiled(std::move(plan), "filter");
   }
 
@@ -76,7 +74,7 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
       // WITHIN: reorder in-bound disorder back into event-time order
       // before the window sees it.
       if (spec.within_bound > 0.0) {
-        engine::ReorderBufferOptions ro = options.reorder;
+        engine::ReorderBufferOptions ro;
         ro.lateness_bound = spec.within_bound;
         if (ladder != nullptr) {
           ro.ladder = ladder;
@@ -139,8 +137,7 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
     }
     AUSDB_ASSIGN_OR_RETURN(
         std::unique_ptr<engine::Project> project,
-        engine::Project::Make(std::move(plan), std::move(items),
-                              options.eval));
+        engine::Project::Make(std::move(plan), std::move(items)));
     plan = profiled(std::move(project), "project");
   }
 

@@ -8,10 +8,8 @@
 #include "src/common/memory_budget.h"
 #include "src/common/result.h"
 #include "src/engine/accuracy_annotator.h"
-#include "src/engine/filter.h"
 #include "src/engine/operator.h"
 #include "src/engine/pipeline_profiler.h"
-#include "src/engine/reorder_buffer.h"
 #include "src/govern/cost_model.h"
 #include "src/govern/governor.h"
 #include "src/govern/signals.h"
@@ -79,13 +77,7 @@ struct ProfilerConfig {
 
 /// Plan-construction knobs.
 struct PlannerOptions {
-  engine::FilterOptions filter;
   engine::AccuracyAnnotatorOptions annotator;
-  expr::EvalOptions eval;
-  /// Base configuration of the ReorderBuffer a WITHIN clause inserts
-  /// (capacity, overflow policy, metrics); the clause's bound overrides
-  /// lateness_bound.
-  engine::ReorderBufferOptions reorder;
   /// Overload governor wiring; disabled by default (plans are built
   /// exactly as before — no gate, no ladder, no budget charging).
   GovernorConfig govern;

@@ -9,25 +9,11 @@ DisorderInjector::DisorderInjector(engine::OperatorPtr child,
                                    DisorderSpec spec)
     : child_(std::move(child)), spec_(spec), rng_(spec.seed) {}
 
-void DisorderInjector::Emit(engine::Tuple t) {
-  const bool duplicate =
-      spec_.duplicate_probability > 0.0 &&
-      rng_.NextDouble() < spec_.duplicate_probability;
-  if (duplicate) {
-    engine::Tuple copy = t;
-    out_queue_.push_back(std::move(t));
-    out_queue_.push_back(std::move(copy));
-    ++stats_.duplicated;
-  } else {
-    out_queue_.push_back(std::move(t));
-  }
-}
-
 void DisorderInjector::ForceAgedOut() {
   while (!pool_.empty() &&
          input_count_ - pool_.front().entry_index >=
              spec_.max_displacement) {
-    Emit(std::move(pool_.front().tuple));
+    out_queue_.push_back(std::move(pool_.front().tuple));
     pool_.pop_front();
   }
 }
@@ -44,12 +30,12 @@ Result<std::optional<engine::Tuple>> DisorderInjector::Next() {
       // in hold order.
       if (!pool_.empty()) {
         const uint64_t idx = rng_.NextBelow(pool_.size());
-        Emit(std::move(pool_[idx].tuple));
+        out_queue_.push_back(std::move(pool_[idx].tuple));
         pool_.erase(pool_.begin() + static_cast<ptrdiff_t>(idx));
         continue;
       }
       if (!late_.empty()) {
-        Emit(std::move(late_.front().tuple));
+        out_queue_.push_back(std::move(late_.front().tuple));
         late_.pop_front();
         ++stats_.late_injected;
         continue;
@@ -70,7 +56,7 @@ Result<std::optional<engine::Tuple>> DisorderInjector::Next() {
     // current tuple so their displacement is exactly late_delay.
     while (!late_.empty() &&
            input_count_ >= late_.front().entry_index + spec_.late_delay) {
-      Emit(std::move(late_.front().tuple));
+      out_queue_.push_back(std::move(late_.front().tuple));
       late_.pop_front();
       ++stats_.late_injected;
     }
@@ -91,11 +77,11 @@ Result<std::optional<engine::Tuple>> DisorderInjector::Next() {
       pool_.push_back(Held{input_count_, std::move(*t)});
       if (pool_.size() > spec_.max_displacement) {
         const uint64_t idx = rng_.NextBelow(pool_.size());
-        Emit(std::move(pool_[idx].tuple));
+        out_queue_.push_back(std::move(pool_[idx].tuple));
         pool_.erase(pool_.begin() + static_cast<ptrdiff_t>(idx));
       }
     } else {
-      Emit(std::move(*t));
+      out_queue_.push_back(std::move(*t));
     }
     ForceAgedOut();
   }

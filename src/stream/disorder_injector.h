@@ -30,11 +30,6 @@ struct DisorderSpec {
   /// Drives the bench's disorder-fraction axis.
   double shuffle_probability = 1.0;
 
-  /// Probability that an emitted tuple is re-emitted once more on the
-  /// next pull, sequence number and all — the at-least-once upstream a
-  /// dedupe stage must absorb.
-  double duplicate_probability = 0.0;
-
   /// Every k-th input tuple (k = late_every_k, 0 disables) is held back
   /// and re-injected only after `late_delay` further inputs — far
   /// enough to land beyond any reorder horizon smaller than the
@@ -50,18 +45,16 @@ struct DisorderSpec {
 struct DisorderStats {
   size_t pulled = 0;        ///< tuples pulled from the child
   size_t shuffled = 0;      ///< tuples routed through the pool
-  size_t duplicated = 0;    ///< extra copies emitted
   size_t late_injected = 0; ///< held-back tuples re-injected late
 };
 
 /// \brief Deterministic disorder harness: wraps any operator and
-/// re-delivers its stream shuffled-within-bound, with duplicates,
-/// and/or with individual tuples held back beyond the reorder horizon.
+/// re-delivers its stream shuffled-within-bound and/or with individual
+/// tuples held back beyond the reorder horizon.
 ///
 /// Purely a test/bench instrument (the FaultInjector of event time):
 /// it never alters tuple contents or sequence numbers, only delivery
-/// order and multiplicity, so the multiset of delivered tuples is the
-/// child's (plus exact duplicate copies).
+/// order, so the multiset of delivered tuples is the child's.
 class DisorderInjector final : public engine::Operator {
  public:
   DisorderInjector(engine::OperatorPtr child, DisorderSpec spec);
@@ -81,8 +74,6 @@ class DisorderInjector final : public engine::Operator {
     engine::Tuple tuple;
   };
 
-  /// Emits one tuple (through the duplicate lottery) into out_queue_.
-  void Emit(engine::Tuple t);
   /// Releases pool entries that hit the displacement bound, oldest
   /// first.
   void ForceAgedOut();

@@ -97,7 +97,7 @@ struct EventTimeSourceOptions {
 /// Make() from the seed, so position() is the delivery index and SeekTo
 /// is O(1). Each tuple's sequence() is its ORIGINAL event-order index
 /// (timestamps are monotone in sequence, not in delivery order), which
-/// is what the ReorderBuffer keys dedupe and release ordering on.
+/// is what the ReorderBuffer keys its release ordering on.
 class ReplayableEventTimeSource final : public engine::ReplayableSource {
  public:
   static Result<std::unique_ptr<ReplayableEventTimeSource>> Make(

@@ -162,7 +162,6 @@ Result<std::vector<Tuple>> RunDisordered(size_t count,
   // Strictly above the event-time displacement the shuffle pool can
   // cause (max_displacement positions at step 1).
   ro.lateness_bound = static_cast<double>(spec.max_displacement + 1);
-  ro.dedupe_by_sequence = spec.duplicate_probability > 0.0;
   AUSDB_ASSIGN_OR_RETURN(
       std::unique_ptr<ReorderBuffer> reorder,
       ReorderBuffer::Make(std::move(plan), "ts", ro));
@@ -179,8 +178,7 @@ Result<std::vector<Tuple>> RunDisordered(size_t count,
   return out;
 }
 
-// In-bound shuffle plus beyond-bound late injections plus duplicates,
-// across prefetch queue depths {1, 2, 64}: every variant's fold equals
+// In-bound shuffle plus beyond-bound late injections, across prefetch queue depths {1, 2, 64}: every variant's fold equals
 // the in-order run's fold byte for byte.
 void ExpectFoldMatchesInOrderAcrossQueueDepths(bool annotate) {
   constexpr size_t kCount = 96;
@@ -199,7 +197,6 @@ void ExpectFoldMatchesInOrderAcrossQueueDepths(bool annotate) {
   stream::DisorderSpec spec;
   spec.max_displacement = 4;
   spec.shuffle_probability = 0.8;
-  spec.duplicate_probability = 0.1;
   spec.late_every_k = 11;   // held beyond the reorder horizon...
   spec.late_delay = 13;     // ...but inside the 20-step lateness horizon
   spec.seed = 0xd15c0;
@@ -282,7 +279,6 @@ TEST(KeyedBootstrapStreamTest, HistogramIntervalsIgnoreStreamPosition) {
 TEST(DisorderEquivalenceTest, SeededDisorderIsReplayable) {
   stream::DisorderSpec spec;
   spec.max_displacement = 3;
-  spec.duplicate_probability = 0.2;
   spec.seed = 7;
   auto a = RunDisordered(48, spec, /*queue_depth=*/0);
   auto b = RunDisordered(48, spec, /*queue_depth=*/2);

@@ -83,20 +83,6 @@ TEST(FilterTest, PossibleWorldSemantics) {
   EXPECT_EQ((*out)[1].membership_df_n(), 30u);
 }
 
-TEST(FilterTest, MinProbabilityDropsNegligibleTuples) {
-  std::vector<Tuple> tuples = {RoadTuple("fast", 40.0, 25.0, 50),
-                               RoadTuple("slow", 60.0, 25.0, 30)};
-  auto scan = std::make_unique<VectorScan>(RoadSchema(), tuples);
-  FilterOptions opts;
-  opts.min_probability = 0.5;
-  Filter filter(std::move(scan),
-                expr::Gt(expr::Col("delay"), expr::Lit(50.0)), opts);
-  auto out = Collect(filter);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 1u);
-  EXPECT_EQ(*(*out)[0].value(0).string_value(), "slow");
-}
-
 TEST(FilterTest, ProbThresholdIsBoolean) {
   std::vector<Tuple> tuples = {RoadTuple("fast", 40.0, 25.0, 50),
                                RoadTuple("slow", 60.0, 25.0, 30)};
@@ -232,23 +218,6 @@ TEST(WindowAggregateTest, ClosedFormAvg) {
   EXPECT_DOUBLE_EQ(second.Mean(), 25.0);
   EXPECT_DOUBLE_EQ(second.Variance(), 5.0);  // (8+12)/4
   EXPECT_EQ(second.sample_size(), 10u);      // min(30, 10)
-}
-
-TEST(WindowAggregateTest, SumAndPartialEmission) {
-  std::vector<Tuple> tuples = {RoadTuple("a", 1.0, 1.0, 5),
-                               RoadTuple("b", 2.0, 1.0, 5)};
-  auto scan = std::make_unique<VectorScan>(RoadSchema(), tuples);
-  WindowAggregateOptions opts;
-  opts.window_size = 10;
-  opts.fn = WindowAggFn::kSum;
-  opts.emit_partial = true;
-  auto agg = WindowAggregate::Make(std::move(scan), "delay", "sum", opts);
-  ASSERT_TRUE(agg.ok());
-  auto out = Collect(**agg);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 2u);
-  EXPECT_DOUBLE_EQ((*out)[1].value(0).random_var()->Mean(), 3.0);
-  EXPECT_DOUBLE_EQ((*out)[1].value(0).random_var()->Variance(), 2.0);
 }
 
 TEST(WindowAggregateTest, MinSampleSizeTracking) {

@@ -40,7 +40,6 @@ using engine::FieldType;
 using engine::OperatorPtr;
 using engine::ReorderBuffer;
 using engine::ReorderBufferOptions;
-using engine::ReorderOverflowPolicy;
 using engine::Schema;
 using engine::TimeWindowAggregate;
 using engine::TimeWindowOptions;
@@ -158,7 +157,6 @@ TEST(ReorderBufferTest, RestoresEventTimeOrderWithinBound) {
   }
   EXPECT_EQ((*rb)->stats().admitted, 9u);
   EXPECT_EQ((*rb)->stats().late, 0u);
-  EXPECT_EQ((*rb)->stats().shed, 0u);
 }
 
 TEST(ReorderBufferTest, ZeroBoundDegeneratesToPassThrough) {
@@ -193,42 +191,10 @@ TEST(ReorderBufferTest, BeyondBoundStragglerPassesThroughCountedLate) {
   EXPECT_EQ((*rb)->stats().late, 1u);
 }
 
-TEST(ReorderBufferTest, DedupeBySequenceDropsRedeliveries) {
-  std::vector<Tuple> tuples = {TsTuple(0, 0, 0), TsTuple(1, 10, 1),
-                               TsTuple(1, 10, 1), TsTuple(2, 20, 2)};
-  ReorderBufferOptions opts;
-  opts.lateness_bound = 1.0;
-  opts.dedupe_by_sequence = true;
-  auto rb = ReorderBuffer::Make(
-      std::make_unique<PreservingScan>(TsSchema(), tuples), "ts", opts);
-  ASSERT_TRUE(rb.ok());
-  auto out = Collect(**rb);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 3u);
-  EXPECT_EQ((*rb)->stats().duplicates, 1u);
-}
-
-TEST(ReorderBufferTest, ShedOldestBoundsMemoryLoudly) {
-  // Bound so large nothing is released before end of stream.
-  ReorderBufferOptions opts;
-  opts.lateness_bound = 100.0;
-  opts.capacity = 2;
-  opts.overflow = ReorderOverflowPolicy::kShedOldest;
-  auto rb = ReorderBuffer::Make(Scan(OrderedStream(5)), "ts", opts);
-  ASSERT_TRUE(rb.ok());
-  auto out = Collect(**rb);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 2u);
-  EXPECT_DOUBLE_EQ(TsOf((*out)[0]), 3.0);
-  EXPECT_DOUBLE_EQ(TsOf((*out)[1]), 4.0);
-  EXPECT_EQ((*rb)->stats().shed, 3u);
-}
-
 TEST(ReorderBufferTest, BlockOverflowForcesEarlyReleaseNeverDrops) {
   ReorderBufferOptions opts;
   opts.lateness_bound = 100.0;
   opts.capacity = 2;
-  opts.overflow = ReorderOverflowPolicy::kBlock;
   auto rb = ReorderBuffer::Make(Scan(OrderedStream(5)), "ts", opts);
   ASSERT_TRUE(rb.ok());
   auto out = Collect(**rb);
@@ -238,14 +204,12 @@ TEST(ReorderBufferTest, BlockOverflowForcesEarlyReleaseNeverDrops) {
     EXPECT_DOUBLE_EQ(TsOf((*out)[i]), static_cast<double>(i));
   }
   EXPECT_EQ((*rb)->stats().forced_releases, 3u);
-  EXPECT_EQ((*rb)->stats().shed, 0u);
 }
 
 // Pulls the buffer dry one tuple at a time, asserting the conservation
 // law at every step: every admitted tuple is delivered, still buffered,
-// awaiting delivery, or (kShedOldest only) loudly counted shed.
-void DrainCheckingAccounting(ReorderBuffer& rb, size_t expect_delivered,
-                             size_t expect_shed) {
+// or awaiting delivery.
+void DrainCheckingAccounting(ReorderBuffer& rb, size_t expect_delivered) {
   size_t delivered = 0;
   for (;;) {
     auto t = rb.Next();
@@ -254,38 +218,20 @@ void DrainCheckingAccounting(ReorderBuffer& rb, size_t expect_delivered,
     ++delivered;
     const engine::ReorderStats& s = rb.stats();
     ASSERT_EQ(s.admitted, delivered + rb.buffered_count() +
-                              rb.pending_release_count() + s.shed)
+                              rb.pending_release_count())
         << "accounting broke after tuple " << delivered << " (late=" << s.late
         << " forced=" << s.forced_releases << ")";
   }
   EXPECT_EQ(delivered, expect_delivered);
-  EXPECT_EQ(rb.stats().shed, expect_shed);
-}
-
-TEST(ReorderBufferTest, AccountingClosesUnderSustainedShedOverflow) {
-  // A lateness bound so wide nothing releases naturally, a tiny
-  // capacity, and thirty tuples: the buffer sheds continuously, and the
-  // invariant must hold at every single delivery checkpoint.
-  ReorderBufferOptions opts;
-  opts.lateness_bound = 1000.0;
-  opts.capacity = 3;
-  opts.overflow = ReorderOverflowPolicy::kShedOldest;
-  auto rb = ReorderBuffer::Make(Scan(OrderedStream(30)), "ts", opts);
-  ASSERT_TRUE(rb.ok());
-  DrainCheckingAccounting(**rb, /*expect_delivered=*/3,
-                          /*expect_shed=*/27);
-  EXPECT_EQ((*rb)->stats().admitted, 30u);
 }
 
 TEST(ReorderBufferTest, AccountingClosesUnderSustainedBlockOverflow) {
   ReorderBufferOptions opts;
   opts.lateness_bound = 1000.0;
   opts.capacity = 3;
-  opts.overflow = ReorderOverflowPolicy::kBlock;
   auto rb = ReorderBuffer::Make(Scan(OrderedStream(30)), "ts", opts);
   ASSERT_TRUE(rb.ok());
-  DrainCheckingAccounting(**rb, /*expect_delivered=*/30,
-                          /*expect_shed=*/0);
+  DrainCheckingAccounting(**rb, /*expect_delivered=*/30);
   EXPECT_EQ((*rb)->stats().admitted, 30u);
   EXPECT_EQ((*rb)->stats().forced_releases, 27u);
 }
@@ -311,7 +257,6 @@ TEST(ReorderBufferTest, GovernedRungShortensHoldHorizon) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 12u) << "a shortened horizon drops nothing";
   EXPECT_GT((*rb)->stats().early_releases, 0u);
-  EXPECT_EQ((*rb)->stats().shed, 0u);
 }
 
 TEST(ReorderBufferTest, UngovernedTrafficIgnoresTheLadder) {
@@ -438,9 +383,10 @@ TEST(ReorderBufferTest, CheckpointRoundTripMidDisorder) {
   auto rb2 = ReorderBuffer::Make(Scan(std::move(rest)), "ts", opts);
   ASSERT_TRUE(rb2.ok());
 
-  // One format: a record in the retired ungoverned layout ("rob.v1",
-  // no early releases, no horizon floor) is refused before anything is
-  // restored.
+  // One format: records in the retired layouts are refused before
+  // anything is restored: the ungoverned "rob.v1" (no early releases, no
+  // horizon floor) and "rob.v2" (shed and duplicate counts, dedupe
+  // seen-set).
   serde::CheckpointWriter v1;
   v1.Token("rob.v1");
   v1.Double(0.0);  // max timestamp
@@ -449,6 +395,15 @@ TEST(ReorderBufferTest, CheckpointRoundTripMidDisorder) {
   const Status v1_status =
       (*rb2)->RestoreCheckpoint(std::move(v1).Finish());
   EXPECT_TRUE(v1_status.IsCorruption()) << v1_status.ToString();
+  serde::CheckpointWriter v2;
+  v2.Token("rob.v2");
+  v2.Double(0.0);  // max timestamp
+  for (int i = 0; i < 8; ++i) v2.Uint(0);  // exhausted, six stats, floor set
+  v2.Double(0.0);  // horizon floor
+  for (int i = 0; i < 3; ++i) v2.Uint(0);  // buffered, ready, seen
+  const Status v2_status =
+      (*rb2)->RestoreCheckpoint(std::move(v2).Finish());
+  EXPECT_TRUE(v2_status.IsCorruption()) << v2_status.ToString();
 
   ASSERT_TRUE((*rb2)->RestoreCheckpoint(*blob).ok());
   auto tail = Collect(**rb2);

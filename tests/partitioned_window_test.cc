@@ -245,7 +245,8 @@ std::vector<double> EmittedSums(const std::vector<Tuple>& rows) {
 
 // Double keys share a window exactly when they compare equal: 0.1 and
 // 0.1000001 (equal to six decimals) and 1e-7 and 0.0 stay apart, and
-// -0.0 joins 0.0. The windows survive a checkpoint.
+// -0.0 joins 0.0. A sliding window of 2 fills only for the 0.0/-0.0
+// key. The windows survive a checkpoint.
 TEST(PartitionedWindowTest, DoubleKeysGroupByValue) {
   const std::vector<Tuple> tuples = {
       Tuple({expr::Value(0.1), expr::Value(1.0)}),
@@ -254,8 +255,8 @@ TEST(PartitionedWindowTest, DoubleKeysGroupByValue) {
       Tuple({expr::Value(0.0), expr::Value(4.0)}),
       Tuple({expr::Value(-0.0), expr::Value(5.0)}),
   };
-  const WindowAggregateOptions opts{
-      .window_size = 3, .fn = WindowAggFn::kSum, .emit_partial = true};
+  const WindowAggregateOptions opts{.window_size = 2,
+                                    .fn = WindowAggFn::kSum};
   for (bool batched : {false, true}) {
     auto agg = WindowAggregate::Make(
         std::make_unique<VectorScan>(DoubleKeyedSchema(), tuples), "x",
@@ -263,7 +264,7 @@ TEST(PartitionedWindowTest, DoubleKeysGroupByValue) {
     ASSERT_TRUE(agg.ok()) << agg.status().ToString();
     std::vector<Tuple> out;
     ASSERT_TRUE(engine::Run(**agg, {.batched = batched}, &out).ok());
-    EXPECT_EQ(EmittedSums(out), (std::vector<double>{1, 2, 3, 4, 9}))
+    EXPECT_EQ(EmittedSums(out), (std::vector<double>{9}))
         << "batched " << batched;
     EXPECT_EQ((*agg)->partition_count(), 4u);
 
@@ -281,7 +282,7 @@ TEST(PartitionedWindowTest, DoubleKeysGroupByValue) {
     EXPECT_EQ((*restored)->partition_count(), 4u);
     auto resumed = Collect(**restored);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    EXPECT_EQ(EmittedSums(*resumed), (std::vector<double>{15, 11}));
+    EXPECT_EQ(EmittedSums(*resumed), (std::vector<double>{11, 11}));
   }
 }
 
