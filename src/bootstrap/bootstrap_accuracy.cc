@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 
 #include "src/bootstrap/resampler.h"
 #include "src/dist/learner.h"
@@ -14,15 +16,71 @@ namespace bootstrap {
 
 namespace {
 
-// The alpha-level percentile interval of a vector of statistic values:
-// between the 100(1-alpha)/2 and 100(1+alpha)/2 percentiles (lines 12-15
-// of the paper's algorithm).
-accuracy::ConfidenceInterval PercentileInterval(std::vector<double> values,
+// Replaces the root of the binary heap h[0, k), whose root comes last in
+// `order`, by x and sifts x down.
+template <typename Order>
+void ReplaceRoot(double* h, size_t k, double x, Order order) {
+  size_t i = 0;
+  for (size_t c = 1; c < k; c = 2 * i + 1) {
+    if (c + 1 < k && order(h[c], h[c + 1])) ++c;
+    if (!order(x, h[c])) break;
+    h[i] = h[c];
+    i = c;
+  }
+  h[i] = x;
+}
+
+// Puts the `low` (>= 1) smallest values in ascending order at the front
+// and the `high` largest of the rest in ascending order at the back, in
+// one pass and O(r log k) for k = max(low, high). A max-heap at the front
+// keeps the smallest `low` seen. Every value it turns away is written
+// back in place behind it, and the first `high` of those become a
+// min-heap of the largest turned away.
+void SelectEnds(std::span<double> values, size_t low, size_t high) {
+  double* const lo = values.data();
+  double* const hi = lo + low;
+  std::make_heap(lo, lo + low);
+  for (size_t i = low; i < values.size(); ++i) {
+    double x = values[i];
+    if (x < lo[0]) {
+      const double largest = lo[0];
+      ReplaceRoot(lo, low, x, std::less<>());
+      x = largest;
+    }
+    if (i - low < high) {
+      values[i] = x;
+      if (i - low + 1 == high) std::make_heap(hi, hi + high, std::greater<>());
+    } else if (high > 0 && x > hi[0]) {
+      values[i] = hi[0];
+      ReplaceRoot(hi, high, x, std::greater<>());
+    } else {
+      values[i] = x;
+    }
+  }
+  std::sort_heap(lo, lo + low);
+  std::sort_heap(hi, hi + high, std::greater<>());  // descending
+  std::reverse(hi, values.data() + values.size());
+}
+
+// The alpha-level percentile interval of r statistic values: between the
+// 100(1-alpha)/2 and 100(1+alpha)/2 percentiles (lines 12-15 of the
+// paper's algorithm). QuantileOfSorted reads two adjacent order
+// statistics at each cut, so only the ranks up to the low pair and from
+// the high pair on are selected. Every rank that QuantileOfSorted then
+// reads holds the value a full sort puts there, so the interval's bits
+// are the sorted interval's. Reorders `values`.
+accuracy::ConfidenceInterval PercentileInterval(std::span<double> values,
                                                 double confidence) {
-  std::sort(values.begin(), values.end());
+  const double p_lo = (1.0 - confidence) / 2.0;
+  const double p_hi = (1.0 + confidence) / 2.0;
+  const size_t r = values.size();
+  const size_t low_end = std::min(stats::LinearQuantileRank(r, p_lo) + 2, r);
+  const size_t high_begin =
+      std::max(low_end, stats::LinearQuantileRank(r, p_hi));
+  SelectEnds(values, low_end, r - high_begin);
   accuracy::ConfidenceInterval ci;
-  ci.lo = stats::QuantileOfSorted(values, (1.0 - confidence) / 2.0);
-  ci.hi = stats::QuantileOfSorted(values, (1.0 + confidence) / 2.0);
+  ci.lo = stats::QuantileOfSorted(values, p_lo);
+  ci.hi = stats::QuantileOfSorted(values, p_hi);
   ci.confidence = confidence;
   return ci;
 }
@@ -35,20 +93,22 @@ Status CheckConfidence(double confidence) {
 }
 
 // Lines 12-15: the intervals of every statistic over the r resamples.
-accuracy::AccuracyInfo PercentileAccuracy(
-    size_t n, double confidence,
-    std::vector<std::vector<double>> bin_heights, std::vector<double> means,
-    std::vector<double> variances) {
+// `rows` holds r values per statistic: the bin heights of each bin in
+// turn, then the means, then the variances.
+accuracy::AccuracyInfo PercentileAccuracy(size_t n, double confidence,
+                                          size_t r, std::span<double> rows) {
+  const size_t bins = rows.size() / r - 2;
   accuracy::AccuracyInfo info;
   info.sample_size = n;
   info.method = accuracy::AccuracyMethod::kBootstrap;
-  info.bin_cis.reserve(bin_heights.size());
-  for (std::vector<double>& heights : bin_heights) {
+  info.bin_cis.reserve(bins);
+  for (size_t k = 0; k < bins; ++k) {
     info.bin_cis.push_back(
-        PercentileInterval(std::move(heights), confidence));
+        PercentileInterval(rows.subspan(k * r, r), confidence));
   }
-  info.mean_ci = PercentileInterval(std::move(means), confidence);
-  info.variance_ci = PercentileInterval(std::move(variances), confidence);
+  info.mean_ci = PercentileInterval(rows.subspan(bins * r, r), confidence);
+  info.variance_ci =
+      PercentileInterval(rows.subspan((bins + 1) * r, r), confidence);
   return info;
 }
 
@@ -71,12 +131,10 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
   }
 
   const size_t b = bin_edges.empty() ? 0 : bin_edges.size() - 1;
-  std::vector<std::vector<double>> bin_heights(b);
-  for (auto& v : bin_heights) v.reserve(r);
-  std::vector<double> means;
-  std::vector<double> variances;
-  means.reserve(r);
-  variances.reserve(r);
+  // One row of r values per statistic: b bin heights, means, variances.
+  std::vector<double> rows((b + 2) * r);
+  double* const means = rows.data() + b * r;
+  double* const variances = means + r;
 
   for (size_t i = 0; i < r; ++i) {  // lines 2-11: each resample
     const std::span<const double> group = values.subspan(i * n, n);
@@ -84,8 +142,8 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
     if (b > 0) {  // lines 6-8: per-bin frequency within the resample
       const std::vector<size_t> counts = dist::CountBins(group, bin_edges);
       for (size_t k = 0; k < b; ++k) {
-        bin_heights[k].push_back(static_cast<double>(counts[k]) /
-                                 static_cast<double>(n));
+        rows[k * r + i] =
+            static_cast<double>(counts[k]) / static_cast<double>(n);
       }
     }
 
@@ -98,12 +156,11 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyInfo(
     mean /= static_cast<double>(n);
     double ss = 0.0;
     for (double v : group) ss += (v - mean) * (v - mean);
-    means.push_back(mean);
-    variances.push_back(n > 1 ? ss / static_cast<double>(n - 1) : 0.0);
+    means[i] = mean;
+    variances[i] = n > 1 ? ss / static_cast<double>(n - 1) : 0.0;
   }
 
-  return PercentileAccuracy(n, confidence, std::move(bin_heights),
-                            std::move(means), std::move(variances));
+  return PercentileAccuracy(n, confidence, r, rows);
 }
 
 Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
@@ -128,18 +185,20 @@ Result<accuracy::AccuracyInfo> BootstrapAccuracyFromDistribution(
   const double mu = d.Mean();
   const double s2 = d.Variance();
   const double se = std::sqrt(s2 / static_cast<double>(n));
-  const double chi2_shape = 0.5 * static_cast<double>(n - 1);
-  std::vector<double> means(num_resamples);
-  std::vector<double> variances(num_resamples, 0.0);
+  // The r means, then the r variances. At n == 1 the chi2 shape (n-1)/2
+  // is 0: no variance is drawn and each is 0.
+  std::vector<double> rows(2 * num_resamples, 0.0);
+  double* const means = rows.data();
+  double* const variances = means + num_resamples;
+  std::optional<stats::GammaSampler> chi2;
+  if (n > 1) chi2.emplace(0.5 * static_cast<double>(n - 1), 2.0);
   for (size_t i = 0; i < num_resamples; ++i) {
     means[i] = mu + se * rng.NextGaussian();
-    if (n > 1) {
-      variances[i] = s2 * stats::SampleGamma(rng, chi2_shape, 2.0) /
-                     static_cast<double>(n - 1);
+    if (chi2) {
+      variances[i] = s2 * chi2->Sample(rng) / static_cast<double>(n - 1);
     }
   }
-  return PercentileAccuracy(n, confidence, {}, std::move(means),
-                            std::move(variances));
+  return PercentileAccuracy(n, confidence, num_resamples, rows);
 }
 
 Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
@@ -162,7 +221,7 @@ Result<accuracy::ConfidenceInterval> ClassicPercentileBootstrap(
     ResampleInto(sample, buffer, child);
     value = statistic(buffer);
   }
-  return PercentileInterval(std::move(stat_values), confidence);
+  return PercentileInterval(stat_values, confidence);
 }
 
 }  // namespace bootstrap

@@ -1,14 +1,8 @@
 #include "src/common/rng.h"
 
-#include <cmath>
-
 namespace ausdb {
 
 namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 
 inline uint64_t SplitMix64(uint64_t* state) {
   return SplitMix64Mix(*state += 0x9E3779B97F4A7C15ULL);
@@ -30,18 +24,6 @@ void Rng::Seed(uint64_t seed) {
   has_cached_gaussian_ = false;
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 uint64_t Rng::NextBelow(uint64_t bound) {
   // Lemire's nearly-divisionless unbiased bounded generation.
   uint64_t x = NextUint64();
@@ -56,33 +38,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
     }
   }
   return static_cast<uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
-double Rng::NextGaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  // Marsaglia polar method: draws a uniform point in the unit disc and
-  // transforms it into two independent standard normals.
-  double u, v, s;
-  do {
-    u = NextDouble(-1.0, 1.0);
-    v = NextDouble(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_gaussian_ = v * factor;
-  has_cached_gaussian_ = true;
-  return u * factor;
 }
 
 Rng Rng::Split() { return Rng(NextUint64()); }

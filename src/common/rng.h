@@ -2,6 +2,7 @@
 #define AUSDB_COMMON_RNG_H_
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace ausdb {
@@ -55,20 +56,51 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Next 64 uniformly random bits.
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    const uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). `bound` must be > 0. Uses Lemire's
   /// multiply-shift rejection method to avoid modulo bias.
   uint64_t NextBelow(uint64_t bound);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double NextDouble(double lo, double hi);
+  double NextDouble(double lo, double hi) {
+    return lo + (hi - lo) * NextDouble();
+  }
 
   /// Standard normal variate (Marsaglia polar method, cached pair).
-  double NextGaussian();
+  double NextGaussian() {
+    if (has_cached_gaussian_) {
+      has_cached_gaussian_ = false;
+      return cached_gaussian_;
+    }
+    // Draws a uniform point in the unit disc and transforms it into two
+    // independent standard normals.
+    double u, v, s;
+    do {
+      u = NextDouble(-1.0, 1.0);
+      v = NextDouble(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    cached_gaussian_ = v * factor;
+    has_cached_gaussian_ = true;
+    return u * factor;
+  }
 
   /// Re-seeds the generator, discarding all state.
   void Seed(uint64_t seed);

@@ -9,8 +9,7 @@ Filter::Filter(OperatorPtr child, expr::ExprPtr predicate,
                FilterOptions options)
     : child_(std::move(child)),
       predicate_(std::move(predicate)),
-      options_(options),
-      evaluator_(options.eval) {}
+      options_(options) {}
 
 Result<bool> Filter::ApplyOne(Tuple& t) {
   AUSDB_ASSIGN_OR_RETURN(

@@ -15,9 +15,6 @@ struct FilterOptions {
   /// For significance predicates with coupled tests: keep UNSURE tuples
   /// (flagged via Tuple::significance) instead of dropping them.
   bool keep_unsure = false;
-
-  /// Evaluator tuning (Monte Carlo sample count etc.).
-  expr::EvalOptions eval;
 };
 
 /// \brief Possible-world filter (the WHERE clause).

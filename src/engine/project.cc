@@ -62,8 +62,7 @@ Result<FieldType> InferType(const expr::Expr& e, const Schema& input) {
 }
 
 Result<std::unique_ptr<Project>> Project::Make(
-    OperatorPtr child, std::vector<ProjectionItem> items,
-    expr::EvalOptions eval_options) {
+    OperatorPtr child, std::vector<ProjectionItem> items) {
   if (items.empty()) {
     return Status::InvalidArgument("projection needs at least one item");
   }
@@ -78,15 +77,14 @@ Result<std::unique_ptr<Project>> Project::Make(
     AUSDB_RETURN_NOT_OK(schema.AddField({item.name, type}));
   }
   return std::unique_ptr<Project>(new Project(
-      std::move(child), std::move(items), std::move(schema), eval_options));
+      std::move(child), std::move(items), std::move(schema)));
 }
 
 Project::Project(OperatorPtr child, std::vector<ProjectionItem> items,
-                 Schema schema, expr::EvalOptions eval_options)
+                 Schema schema)
     : child_(std::move(child)),
       items_(std::move(items)),
-      schema_(std::move(schema)),
-      evaluator_(eval_options) {}
+      schema_(std::move(schema)) {}
 
 Result<Tuple> Project::ProjectOne(const Tuple& t) {
   const expr::Row row = t.AsRow(child_->schema());

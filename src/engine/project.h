@@ -35,8 +35,7 @@ class Project final : public Operator {
   /// Fails (at first Next()) if an item fails to evaluate. Type inference
   /// failures surface from Make().
   static Result<std::unique_ptr<Project>> Make(
-      OperatorPtr child, std::vector<ProjectionItem> items,
-      expr::EvalOptions eval_options = {});
+      OperatorPtr child, std::vector<ProjectionItem> items);
 
   const Schema& schema() const override { return schema_; }
   Result<std::optional<Tuple>> Next() override;
@@ -49,7 +48,7 @@ class Project final : public Operator {
 
  private:
   Project(OperatorPtr child, std::vector<ProjectionItem> items,
-          Schema schema, expr::EvalOptions eval_options);
+          Schema schema);
 
   /// Evaluates the SELECT list against one input row.
   Result<Tuple> ProjectOne(const Tuple& t);

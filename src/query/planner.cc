@@ -192,6 +192,11 @@ Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
   return plan;
 }
 
+Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
+                                      engine::OperatorPtr source) {
+  return BuildPlan(query, std::move(source), PlannerOptions{});
+}
+
 Result<engine::OperatorPtr> PlanQuery(std::string_view sql,
                                       engine::OperatorPtr source,
                                       const PlannerOptions& options) {

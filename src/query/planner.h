@@ -103,7 +103,12 @@ struct PlannerOptions {
 /// with other SELECT items is rejected.
 Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
                                       engine::OperatorPtr source,
-                                      const PlannerOptions& options = {});
+                                      const PlannerOptions& options);
+
+/// BuildPlan with default options, built inside the library for the same
+/// reason as the two-argument PlanQuery below.
+Result<engine::OperatorPtr> BuildPlan(const ParsedQuery& query,
+                                      engine::OperatorPtr source);
 
 /// Parses `sql` and builds the plan over `source` in one step.
 Result<engine::OperatorPtr> PlanQuery(std::string_view sql,

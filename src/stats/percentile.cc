@@ -19,7 +19,7 @@ double QuantileOfSorted(std::span<const double> sorted, double p,
   switch (method) {
     case QuantileMethod::kLinear: {
       const double h = p * static_cast<double>(n - 1);
-      const size_t lo = static_cast<size_t>(std::floor(h));
+      const size_t lo = LinearQuantileRank(n, p);
       const size_t hi = std::min(lo + 1, n - 1);
       return Lerp(sorted[lo], sorted[hi], h - static_cast<double>(lo));
     }
@@ -31,6 +31,10 @@ double QuantileOfSorted(std::span<const double> sorted, double p,
     }
   }
   return sorted[0];
+}
+
+size_t LinearQuantileRank(size_t n, double p) {
+  return static_cast<size_t>(std::floor(p * static_cast<double>(n - 1)));
 }
 
 double Quantile(std::span<const double> data, double p,

@@ -1,6 +1,7 @@
 #ifndef AUSDB_STATS_PERCENTILE_H_
 #define AUSDB_STATS_PERCENTILE_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -17,8 +18,14 @@ enum class QuantileMethod {
 };
 
 /// \brief The p-quantile of `sorted` (which must be ascending), p in [0,1].
+/// kLinear reads two order statistics: rank LinearQuantileRank(n, p) and
+/// the next one (clamped to n - 1); nothing else of `sorted` is read.
 double QuantileOfSorted(std::span<const double> sorted, double p,
                         QuantileMethod method = QuantileMethod::kLinear);
+
+/// \brief The lower of the two 0-based ranks the kLinear p-quantile of n
+/// sorted values reads: floor(p * (n - 1)).
+size_t LinearQuantileRank(size_t n, double p);
 
 /// \brief The p-quantile of `data` (any order; copies and sorts).
 double Quantile(std::span<const double> data, double p,

@@ -14,31 +14,17 @@ double SampleExponential(Rng& rng, double lambda) {
 }
 
 double SampleGamma(Rng& rng, double k, double theta) {
+  return GammaSampler(k, theta).Sample(rng);
+}
+
+GammaSampler::GammaSampler(double k, double theta)
+    : theta_(theta),
+      inv_k_(1.0 / k),
+      boost_(k < 1.0),
+      d_((boost_ ? k + 1.0 : k) - 1.0 / 3.0),
+      c_(1.0 / std::sqrt(9.0 * d_)) {
   AUSDB_CHECK(k > 0.0 && theta > 0.0)
       << "Gamma requires k > 0 and theta > 0";
-  if (k < 1.0) {
-    // Boost: Gamma(k) = Gamma(k+1) * U^{1/k}.
-    const double u = rng.NextDouble();
-    return SampleGamma(rng, k + 1.0, theta) * std::pow(u, 1.0 / k);
-  }
-  // Marsaglia-Tsang (2000) squeeze method.
-  const double d = k - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = rng.NextGaussian();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = rng.NextDouble();
-    const double x2 = x * x;
-    if (u < 1.0 - 0.0331 * x2 * x2) return d * v * theta;
-    if (u > 0.0 &&
-        std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
-      return d * v * theta;
-    }
-  }
 }
 
 double SampleNormal(Rng& rng, double mu, double sigma) {

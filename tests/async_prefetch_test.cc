@@ -10,6 +10,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -207,7 +208,7 @@ Schema KeyValueSchema() {
 Tuple DeterministicTuple(size_t i) {
   const double mean = static_cast<double>(i);
   const double variance = 1.0 + static_cast<double>(i % 3);
-  return Tuple({expr::Value("k" + std::to_string(i % 4)),
+  return Tuple({expr::Value(std::string("k").append(std::to_string(i % 4))),
                 expr::Value(dist::RandomVar(
                     std::make_shared<dist::GaussianDist>(mean, variance),
                     10))});
@@ -482,7 +483,8 @@ OperatorPtr MakeFaultySource(size_t count, FaultSpec spec) {
         }
         if (i % 7 == 3) {
           return std::optional<Tuple>(
-              Tuple({expr::Value("k" + std::to_string(i % 4)),
+              Tuple({expr::Value(
+                         std::string("k").append(std::to_string(i % 4))),
                      expr::Value(dist::RandomVar(
                          std::make_shared<dist::GaussianDist>(
                              std::numeric_limits<double>::quiet_NaN(), 1.0),
@@ -490,7 +492,8 @@ OperatorPtr MakeFaultySource(size_t count, FaultSpec spec) {
         }
         if (i % 11 == 5) {
           return std::optional<Tuple>(
-              Tuple({expr::Value("k" + std::to_string(i % 4)),
+              Tuple({expr::Value(
+                         std::string("k").append(std::to_string(i % 4))),
                      expr::Value(dist::RandomVar(
                          std::make_shared<dist::GaussianDist>(1.0, 1.0),
                          0))}));

@@ -229,9 +229,9 @@ TEST(BatchContractTest, DeterministicBatchSizeIsPureAndClamped) {
 
   engine::Schema wide;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        wide.AddField({"f" + std::to_string(i),
-                       engine::FieldType::kDouble}).ok());
+    ASSERT_TRUE(wide.AddField({std::string("f").append(std::to_string(i)),
+                               engine::FieldType::kDouble})
+                    .ok());
   }
   engine::VectorScan wide_scan(wide, {});
   // 4096 / 100 = 40 clamps up to the min.

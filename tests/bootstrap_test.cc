@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <numeric>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "src/dist/histogram.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/ks_test.h"
+#include "src/stats/percentile.h"
 #include "src/stats/random_variates.h"
 
 namespace ausdb {
@@ -318,6 +321,157 @@ TEST(BootstrapLawTest, BadArgumentsFailBeforeDrawing) {
     Rng untouched(13);
     EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
   }
+}
+
+// ---------------------------------------------------------------------
+// Interval bits
+//
+// Every interval is read from the order statistics that a full sort would
+// put at the ranks QuantileOfSorted reads. These pins fold the exact
+// IEEE-754 bits of every interval end over a grid of d.f. sample sizes,
+// resample counts and confidences, so any change in which order
+// statistics are read, in how they are combined or in how the draws are
+// made shows as a different digest. Each cell draws from its own keyed
+// stream, and the first word the stream yields after the call is folded
+// too: that pins how many draws the call takes.
+
+void FoldInterval(SeedKey& digest,
+                  const std::optional<accuracy::ConfidenceInterval>& ci) {
+  ASSERT_TRUE(ci.has_value());
+  digest.AddBits(ci->lo).AddBits(ci->hi);
+}
+
+TEST(BootstrapLawTest, GaussianIntervalBitsArePinned) {
+  const dist::GaussianDist g(3.0, 4.0);
+  SeedKey digest(0);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{20}}) {
+    for (size_t r : {size_t{2}, size_t{3}, size_t{20}, size_t{200},
+                     size_t{400}}) {
+      for (double confidence : {0.5, 0.9, 0.99}) {
+        Rng rng(SeedKey(0xB175).Add(n).Add(r).AddBits(confidence).value());
+        auto info = BootstrapAccuracyFromDistribution(g, n, r, confidence,
+                                                      rng);
+        ASSERT_TRUE(info.ok()) << info.status().ToString();
+        FoldInterval(digest, info->mean_ci);
+        FoldInterval(digest, info->variance_ci);
+        digest.Add(rng.NextUint64());
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x6cc788e45bed3124ULL);
+}
+
+// The printed algorithm with bin edges: bin heights are multiples of 1/n,
+// so their percentile intervals are read among heavy ties. Covers both
+// BootstrapAccuracyInfo on a value sequence and the histogram draw of
+// BootstrapAccuracyFromDistribution.
+TEST(BootstrapAccuracyTest, HistogramBinIntervalBitsArePinned) {
+  auto histogram = dist::HistogramDist::Make({0.0, 1.0, 2.0, 4.0, 8.0},
+                                             {0.1, 0.4, 0.3, 0.2});
+  ASSERT_TRUE(histogram.ok());
+  const std::vector<double> edges = {0.0, 1.0, 2.0, 4.0, 8.0};
+  const std::vector<double> inner_edges = {0.5, 1.5, 3.0};
+  SeedKey digest(0);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{20}}) {
+    for (size_t r : {size_t{2}, size_t{20}, size_t{200}}) {
+      for (double confidence : {0.5, 0.9, 0.99}) {
+        Rng rng(SeedKey(0xB1A5).Add(n).Add(r).AddBits(confidence).value());
+        std::vector<double> values(n * r);
+        for (double& v : values) v = stats::SampleGamma(rng, 2.0, 1.0);
+        auto info = BootstrapAccuracyInfo(values, n, confidence, inner_edges);
+        ASSERT_TRUE(info.ok()) << info.status().ToString();
+        ASSERT_EQ(info->bin_cis.size(), 2u);
+        for (const auto& ci : info->bin_cis) FoldInterval(digest, ci);
+        FoldInterval(digest, info->mean_ci);
+        FoldInterval(digest, info->variance_ci);
+
+        auto drawn = BootstrapAccuracyFromDistribution(*histogram, n, r,
+                                                       confidence, rng, edges);
+        ASSERT_TRUE(drawn.ok()) << drawn.status().ToString();
+        ASSERT_EQ(drawn->bin_cis.size(), 4u);
+        for (const auto& ci : drawn->bin_cis) FoldInterval(digest, ci);
+        FoldInterval(digest, drawn->mean_ci);
+        FoldInterval(digest, drawn->variance_ci);
+        digest.Add(rng.NextUint64());
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0xef1ecb055623de28ULL);
+}
+
+// Property: a percentile interval equals the sorted oracle's bit for bit —
+// QuantileOfSorted at (1 -/+ confidence)/2 over a sorted copy — for every
+// r from 2 to 500, on distinct values, on heavy ties (bin-height-like
+// multiples of 1/5), on values mixed with +-inf, and on ascending (tied)
+// and descending input.
+// ClassicPercentileBootstrap is driven with a statistic that ignores its
+// resample and returns the i-th prepared value; BootstrapAccuracyInfo with
+// n = 1 turns each value into one resample mean. (NaN has no place in a
+// sorted order, and the two zeros compare equal, so neither is drawn.)
+TEST(BootstrapPercentileProperty, MatchesSortedOracle) {
+  Rng rng(0x0DE5);
+  const double kConfidences[] = {0.5, 0.9, 0.95, 0.99};
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> one_value = {1.0};
+  size_t checked = 0;
+  for (size_t r = 2; r <= 500; ++r) {
+    for (int kind = 0; kind < 5; ++kind) {
+      std::vector<double> values(r);
+      for (size_t i = 0; i < r; ++i) {
+        switch (kind) {
+          case 0:
+            values[i] = rng.NextDouble(-1e3, 1e3);
+            break;
+          case 1:
+            values[i] = static_cast<double>(1 + rng.NextBelow(5)) / 5.0;
+            break;
+          case 2: {
+            const uint64_t pick = rng.NextBelow(8);
+            values[i] = pick == 0   ? kInf
+                        : pick == 1 ? -kInf
+                                    : rng.NextDouble(1.0, 2.0);
+            break;
+          }
+          case 3:
+            values[i] = static_cast<double>(i / 3);
+            break;
+          default:
+            values[i] = -static_cast<double>(i);
+            break;
+        }
+      }
+      const double confidence =
+          rng.NextBelow(5) == 0 ? rng.NextDouble(0.01, 0.99)
+                                : kConfidences[rng.NextBelow(4)];
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const double lo =
+          stats::QuantileOfSorted(sorted, (1.0 - confidence) / 2.0);
+      const double hi =
+          stats::QuantileOfSorted(sorted, (1.0 + confidence) / 2.0);
+
+      size_t next = 0;
+      const auto prepared = [&](std::span<const double>) {
+        return values[next++];
+      };
+      Rng unused(1);
+      auto classic =
+          ClassicPercentileBootstrap(one_value, r, confidence, prepared,
+                                     unused);
+      ASSERT_TRUE(classic.ok()) << classic.status().ToString();
+      auto grouped = BootstrapAccuracyInfo(values, 1, confidence);
+      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+      for (const accuracy::ConfidenceInterval& ci :
+           {*classic, *grouped->mean_ci}) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(ci.lo), std::bit_cast<uint64_t>(lo))
+            << "r=" << r << " kind=" << kind << " confidence=" << confidence;
+        EXPECT_EQ(std::bit_cast<uint64_t>(ci.hi), std::bit_cast<uint64_t>(hi))
+            << "r=" << r << " kind=" << kind << " confidence=" << confidence;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 499u * 5u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // cleanly (as Status, never crashes or silent truncation) through every
 // operator layer.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -141,7 +142,7 @@ OperatorPtr FailingKeyedSource(size_t good, size_t keys) {
         }
         const size_t i = (*produced)++;
         return std::optional<Tuple>(Tuple({
-            expr::Value("k" + std::to_string(i % keys)),
+            expr::Value(std::string("k").append(std::to_string(i % keys))),
             expr::Value(RandomVar(
                 std::make_shared<dist::GaussianDist>(1.0, 1.0), 10)),
         }));

@@ -6,6 +6,7 @@
 #define AUSDB_TESTS_FSUM_ORACLE_H_
 
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,9 +16,11 @@ namespace ausdb {
 
 // CPython's math.fsum: the correctly rounded sum of finite doubles whose
 // partial sums stay finite (CPython raises on intermediate overflow; the
-// oracle fails the test instead).
-inline double Fsum(const std::vector<double>& xs) {
-  std::vector<double> p;
+// oracle fails the test instead). `p` holds the partials; a caller that
+// sums in a hot loop passes the same vector each time, so the loop does
+// not allocate.
+inline double Fsum(std::span<const double> xs, std::vector<double>& p) {
+  p.clear();
   for (double x : xs) {
     size_t i = 0;
     for (size_t j = 0; j < p.size(); ++j) {
@@ -53,6 +56,11 @@ inline double Fsum(const std::vector<double>& xs) {
     }
   }
   return hi;
+}
+
+inline double Fsum(const std::vector<double>& xs) {
+  std::vector<double> partials;
+  return Fsum(xs, partials);
 }
 
 }  // namespace ausdb

@@ -75,8 +75,8 @@ TEST_P(ConfidenceSweepTest, IntervalsNestByConfidence) {
 INSTANTIATE_TEST_SUITE_P(Levels, ConfidenceSweepTest,
                          ::testing::Values(0.8, 0.9, 0.95, 0.99),
                          [](const auto& info) {
-                           return "c" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           return std::string("c").append(std::to_string(
+                               static_cast<int>(info.param * 100)));
                          });
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,7 +68,7 @@ TEST(SoakTest, ManyPartitionsStayIndependent) {
       // Key k's values are exactly k (zero variance): any cross-key
       // contamination shifts a mean detectably.
       tuples.emplace_back(std::vector<expr::Value>{
-          expr::Value("k" + std::to_string(k)),
+          expr::Value(std::string("k").append(std::to_string(k))),
           expr::Value(dist::RandomVar(
               std::make_shared<dist::GaussianDist>(
                   static_cast<double>(k), 0.0),

@@ -106,6 +106,7 @@ class WindowOracle {
     std::stable_sort(by_ts_.begin(), by_ts_.end(), [&](size_t x, size_t y) {
       return events[x].ts < events[y].ts;
     });
+    for (size_t a : by_ts_) sorted_ts_.push_back(events[a].ts);
   }
 
   /// The output triggered by `arrival` for the window ending at `end`
@@ -114,24 +115,23 @@ class WindowOracle {
     const size_t p = position_[arrival];
     const double w_end = end.value_or(max_ts_[p]);
     const double lower = w_end - range_;
-    auto first = std::upper_bound(
-        by_ts_.begin(), by_ts_.end(), lower,
-        [&](double ts, size_t a) { return ts < events_[a].ts; });
-    auto last = std::upper_bound(
-        first, by_ts_.end(), w_end,
-        [&](double ts, size_t a) { return ts < events_[a].ts; });
-    std::vector<double> means, variances;
+    const auto first =
+        std::upper_bound(sorted_ts_.begin(), sorted_ts_.end(), lower);
+    const auto last = std::upper_bound(first, sorted_ts_.end(), w_end);
+    means_.clear();
+    variances_.clear();
     Expected e{0.0, 0.0, dist::RandomVar::kCertainSampleSize};
     for (auto it = first; it != last; ++it) {
-      if (position_[*it] > p || shed_[*it]) continue;
-      means.push_back(events_[*it].mean);
-      variances.push_back(events_[*it].variance);
-      e.df = std::min(e.df, events_[*it].n);
+      const size_t a = by_ts_[static_cast<size_t>(it - sorted_ts_.begin())];
+      if (position_[a] > p || shed_[a]) continue;
+      means_.push_back(events_[a].mean);
+      variances_.push_back(events_[a].variance);
+      e.df = std::min(e.df, events_[a].n);
     }
-    e.mean = Fsum(means);
-    e.variance = Fsum(variances);
-    if (avg_ && !means.empty()) {
-      const double w = static_cast<double>(means.size());
+    e.mean = Fsum(means_, partials_);
+    e.variance = Fsum(variances_, partials_);
+    if (avg_ && !means_.empty()) {
+      const double w = static_cast<double>(means_.size());
       e.mean /= w;
       e.variance /= w * w;
     }
@@ -177,7 +177,11 @@ class WindowOracle {
   std::vector<size_t> position_;
   std::vector<bool> shed_;
   std::vector<double> max_ts_;
-  std::vector<size_t> by_ts_;
+  std::vector<size_t> by_ts_;  // arrival indices in timestamp order
+  std::vector<double> sorted_ts_;  // their timestamps
+  // Scratch for Aggregate, which runs once per output of a 1M-event run:
+  // reused, so the oracle allocates nothing per output.
+  mutable std::vector<double> means_, variances_, partials_;
 };
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
