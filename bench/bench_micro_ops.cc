@@ -117,9 +117,6 @@ class SeedCdfReplica final : public dist::Distribution {
   }
   double Sample(Rng&) const override { return 0.0; }
   std::string ToString() const override { return "SeedCdfReplica"; }
-  std::shared_ptr<dist::Distribution> Clone() const override {
-    return nullptr;
-  }
 
  private:
   const std::vector<double>* edges_;

@@ -1,16 +1,14 @@
 // Tour of the distribution learners and their accuracy information:
-// histogram, Gaussian MLE, empirical, kernel density, Gaussian mixture
-// (EM), and recency-weighted learning — all from the same raw sample,
-// all carrying the provenance the accuracy engine needs.
+// histogram, Gaussian MLE and empirical, all from the same raw sample,
+// all carrying the provenance the accuracy engine needs, plus
+// recency-weighted accuracy over the same sample viewed as a stream.
 
 #include <cstdio>
 #include <vector>
 
 #include "src/accuracy/accuracy_info.h"
-#include "src/dist/gmm_learner.h"
-#include "src/dist/kde_learner.h"
+#include "src/accuracy/weighted_accuracy.h"
 #include "src/dist/learner.h"
-#include "src/dist/weighted_learner.h"
 #include "src/stats/random_variates.h"
 #include "src/stats/weighted.h"
 
@@ -18,16 +16,21 @@ using namespace ausdb;
 
 namespace {
 
-void Report(const char* name, const dist::LearnedDistribution& learned) {
-  auto info = accuracy::AnalyticalAccuracy(*learned.distribution,
-                                           learned.sample_size, 0.9);
-  std::printf("%-10s %-34s", name,
-              learned.distribution->ToString().c_str());
-  if (info.ok()) {
-    std::printf(" mean=%.2f %s", learned.distribution->Mean(),
-                info->mean_ci->ToString().c_str());
+bool Report(const char* name, const Result<dist::LearnedDistribution>& r) {
+  if (!r.ok()) {
+    std::printf("%s: %s\n", name, r.status().ToString().c_str());
+    return false;
   }
-  std::printf("\n");
+  const dist::Distribution& d = *r->distribution;
+  auto info = accuracy::AnalyticalAccuracy(d, r->sample_size, 0.9);
+  std::printf("%-10s %-34s", name, d.ToString().c_str());
+  if (info.ok()) {
+    std::printf(" mean=%.2f %s", d.Mean(), info->mean_ci->ToString().c_str());
+  }
+  // Mass in the idle band [30, 50] and the hot band [65, 95].
+  std::printf("\n           P(idle)=%.2f P(hot)=%.2f\n",
+              d.Cdf(50.0) - d.Cdf(30.0), d.Cdf(95.0) - d.Cdf(65.0));
+  return true;
 }
 
 }  // namespace
@@ -45,46 +48,26 @@ int main() {
   std::printf("learning from %zu observations of a bimodal sensor\n\n",
               sample.size());
 
-  auto hist = dist::LearnHistogram(sample, {});
-  Report("histogram", *hist);
-
-  auto gauss = dist::LearnGaussian(sample);
-  Report("gaussian", *gauss);
-
-  auto emp = dist::LearnEmpirical(sample);
-  Report("empirical", *emp);
-
-  auto kde = dist::LearnKde(sample);
-  Report("kde", *kde);
-
-  dist::GmmFitInfo fit;
-  auto gmm = dist::LearnGaussianMixture(sample, {}, &fit);
-  Report("gmm(EM)", *gmm);
-  std::printf("           EM: %zu iterations, converged=%s\n",
-              fit.iterations, fit.converged ? "yes" : "no");
-
-  // The Gaussian unimodal fit hides the bimodality; the mixture finds
-  // both modes:
-  const auto& mix =
-      static_cast<const dist::MixtureDist&>(*gmm->distribution);
-  for (size_t j = 0; j < mix.components().size(); ++j) {
-    std::printf("           component %zu: %s (weight %.2f)\n", j,
-                mix.components()[j]->ToString().c_str(),
-                mix.weights()[j]);
+  // The histogram and the empirical distribution keep both modes; the
+  // Gaussian fit spreads their mass over the gap between them.
+  if (!Report("histogram", dist::LearnHistogram(sample, {})) ||
+      !Report("gaussian", dist::LearnGaussian(sample)) ||
+      !Report("empirical", dist::LearnEmpirical(sample))) {
+    return 1;
   }
 
-  // Recency weighting (paper Section VII future work): same data viewed
-  // as a drifting stream — newest first with exponential decay.
+  // Recency weighting (paper Section VII future work): the same data
+  // viewed as a drifting stream, newest first with exponential decay.
   auto weights = stats::ExponentialDecayWeights(sample.size(), 0.9);
-  auto weighted = dist::LearnWeightedGaussian(sample, *weights);
-  if (weighted.ok()) {
-    std::printf(
-        "\nweighted   gaussian with decay 0.9: n_raw=%zu but "
-        "n_eff=%.1f\n",
-        weighted->raw_count, weighted->effective_sample_size);
-    std::printf(
-        "           (accuracy machinery uses the smaller n_eff, so the\n"
-        "            intervals honestly widen)\n");
-  }
+  if (!weights.ok()) return 1;
+  auto n_eff = stats::EffectiveSampleSize(*weights);
+  auto weighted_ci = accuracy::WeightedMeanInterval(sample, *weights, 0.9);
+  if (!n_eff.ok() || !weighted_ci.ok()) return 1;
+  std::printf(
+      "\nweighted   decay 0.9: n_raw=%zu but n_eff=%.1f, mean %s\n",
+      sample.size(), *n_eff, weighted_ci->ToString().c_str());
+  std::printf(
+      "           (the intervals use the smaller n_eff, so they\n"
+      "            honestly widen)\n");
   return 0;
 }

@@ -9,16 +9,6 @@
 namespace ausdb {
 namespace accuracy {
 
-Result<size_t> DeFactoSampleSize(std::span<const size_t> input_sizes) {
-  if (input_sizes.empty()) {
-    return Status::InvalidArgument(
-        "de facto sample size needs at least one input");
-  }
-  size_t n = dist::RandomVar::kCertainSampleSize;
-  for (size_t s : input_sizes) n = std::min(n, s);
-  return n;
-}
-
 Result<double> LogDeFactoSampleCount(std::span<const size_t> input_sizes) {
   std::vector<size_t> uncertain;
   uncertain.reserve(input_sizes.size());

@@ -9,15 +9,6 @@
 namespace ausdb {
 namespace accuracy {
 
-/// \brief Lemma 3: the de facto (d.f.) sample size of an output random
-/// variable Y = f(X_1, ..., X_d) is min_i n_i over the input sample sizes.
-///
-/// Inputs equal to dist::RandomVar::kCertainSampleSize (deterministic
-/// fields) do not constrain the output. If every input is deterministic,
-/// the result is kCertainSampleSize. An empty span fails with
-/// InvalidArgument.
-Result<size_t> DeFactoSampleSize(std::span<const size_t> input_sizes);
-
 /// \brief Lemma 4: the number of distinct d.f. samples of Y is
 ///   c = prod_{i=2..d} n_i! / (n_i - n)!
 /// with inputs sorted so n_1 <= ... <= n_d and n = n_1. Returned in log

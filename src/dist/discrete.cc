@@ -114,10 +114,6 @@ std::string DiscreteDist::ToString() const {
   return os.str();
 }
 
-std::shared_ptr<Distribution> DiscreteDist::Clone() const {
-  return std::shared_ptr<Distribution>(new DiscreteDist(values_, probs_));
-}
-
 Result<DiscreteDist> MakeBernoulli(double p) {
   if (p < 0.0 || p > 1.0) {
     return Status::InvalidArgument("Bernoulli p must be in [0,1]");

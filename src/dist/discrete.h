@@ -29,7 +29,6 @@ class DiscreteDist final : public Distribution {
   double ProbLess(double c) const override;
   double Sample(Rng& rng) const override;
   std::string ToString() const override;
-  std::shared_ptr<Distribution> Clone() const override;
 
   const std::vector<double>& values() const { return values_; }
   const std::vector<double>& probs() const { return probs_; }

@@ -16,8 +16,6 @@ std::string_view DistributionKindToString(DistributionKind kind) {
       return "histogram";
     case DistributionKind::kDiscrete:
       return "discrete";
-    case DistributionKind::kMixture:
-      return "mixture";
     case DistributionKind::kEmpirical:
       return "empirical";
     case DistributionKind::kParametric:
@@ -27,11 +25,6 @@ std::string_view DistributionKindToString(DistributionKind kind) {
 }
 
 double Distribution::StdDev() const { return std::sqrt(Variance()); }
-
-double Distribution::ProbBetween(double lo, double hi) const {
-  if (hi < lo) return 0.0;
-  return Cdf(hi) - Cdf(lo);
-}
 
 std::string PointDist::ToString() const {
   std::ostringstream os;

@@ -10,14 +10,17 @@ namespace ausdb {
 namespace dist {
 
 /// Concrete distribution families known to the engine.
+///
+/// The ordinals are explicit because each bootstrap-annotated field's
+/// random stream is seeded with its kind's ordinal: renumbering a kind
+/// moves its delivered intervals.
 enum class DistributionKind {
-  kPoint,      ///< Deterministic value (probability 1).
-  kGaussian,   ///< Normal(mu, sigma^2).
-  kHistogram,  ///< Piecewise-uniform over explicit bins.
-  kDiscrete,   ///< Finite support with explicit probabilities.
-  kMixture,    ///< Weighted mixture of component distributions.
-  kEmpirical,  ///< The raw sample itself (resampling distribution).
-  kParametric, ///< Closed-form parametric family (exact CDF/moments).
+  kPoint = 0,       ///< Deterministic value (probability 1).
+  kGaussian = 1,    ///< Normal(mu, sigma^2).
+  kHistogram = 2,   ///< Piecewise-uniform over explicit bins.
+  kDiscrete = 3,    ///< Finite support with explicit probabilities.
+  kEmpirical = 5,   ///< The raw sample itself (resampling distribution).
+  kParametric = 6,  ///< Closed-form parametric family (exact CDF/moments).
 };
 
 std::string_view DistributionKindToString(DistributionKind kind);
@@ -51,9 +54,6 @@ class Distribution {
   /// Short human-readable description, e.g. "Gaussian(mu=1, var=2)".
   virtual std::string ToString() const = 0;
 
-  /// Deep copy.
-  virtual std::shared_ptr<Distribution> Clone() const = 0;
-
   /// sqrt(Variance()).
   double StdDev() const;
 
@@ -63,9 +63,6 @@ class Distribution {
   /// P(X < c); equals Cdf(c) for the continuous families. For discrete
   /// families this subtracts the point mass at c.
   virtual double ProbLess(double c) const { return Cdf(c); }
-
-  /// P(lo < X <= hi).
-  double ProbBetween(double lo, double hi) const;
 };
 
 /// Shared immutable distribution handle used throughout the engine.
@@ -86,9 +83,6 @@ class PointDist final : public Distribution {
   double ProbLess(double c) const override { return c > value_ ? 1.0 : 0.0; }
   double Sample(Rng&) const override { return value_; }
   std::string ToString() const override;
-  std::shared_ptr<Distribution> Clone() const override {
-    return std::make_shared<PointDist>(value_);
-  }
 
   double value() const { return value_; }
 

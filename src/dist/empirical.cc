@@ -56,9 +56,5 @@ std::string EmpiricalDist::ToString() const {
   return os.str();
 }
 
-std::shared_ptr<Distribution> EmpiricalDist::Clone() const {
-  return std::shared_ptr<Distribution>(new EmpiricalDist(sorted_));
-}
-
 }  // namespace dist
 }  // namespace ausdb

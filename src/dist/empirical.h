@@ -30,7 +30,6 @@ class EmpiricalDist final : public Distribution {
   double ProbLess(double c) const override;
   double Sample(Rng& rng) const override;
   std::string ToString() const override;
-  std::shared_ptr<Distribution> Clone() const override;
 
   size_t size() const { return sorted_.size(); }
 

@@ -42,23 +42,5 @@ std::string GaussianDist::ToString() const {
   return os.str();
 }
 
-std::shared_ptr<Distribution> GaussianDist::Clone() const {
-  return std::make_shared<GaussianDist>(mean_, variance_);
-}
-
-GaussianDist AddIndependent(const GaussianDist& a, const GaussianDist& b) {
-  return GaussianDist(a.Mean() + b.Mean(), a.Variance() + b.Variance());
-}
-
-GaussianDist SubtractIndependent(const GaussianDist& a,
-                                 const GaussianDist& b) {
-  return GaussianDist(a.Mean() - b.Mean(), a.Variance() + b.Variance());
-}
-
-GaussianDist Affine(const GaussianDist& g, double scale, double shift) {
-  return GaussianDist(scale * g.Mean() + shift,
-                      scale * scale * g.Variance());
-}
-
 }  // namespace dist
 }  // namespace ausdb

@@ -24,7 +24,6 @@ class GaussianDist final : public Distribution {
   double Cdf(double x) const override;
   double Sample(Rng& rng) const override;
   std::string ToString() const override;
-  std::shared_ptr<Distribution> Clone() const override;
 
   /// Probability density at x.
   double Pdf(double x) const;
@@ -36,16 +35,6 @@ class GaussianDist final : public Distribution {
   double mean_;
   double variance_;
 };
-
-/// N(a.mean + b.mean, a.var + b.var): sum of independent Gaussians.
-GaussianDist AddIndependent(const GaussianDist& a, const GaussianDist& b);
-
-/// N(a.mean - b.mean, a.var + b.var): difference of independent Gaussians.
-GaussianDist SubtractIndependent(const GaussianDist& a,
-                                 const GaussianDist& b);
-
-/// N(scale*g.mean + shift, scale^2 * g.var): affine transform.
-GaussianDist Affine(const GaussianDist& g, double scale, double shift);
 
 }  // namespace dist
 }  // namespace ausdb

@@ -125,9 +125,5 @@ std::string HistogramDist::ToString() const {
   return os.str();
 }
 
-std::shared_ptr<Distribution> HistogramDist::Clone() const {
-  return std::shared_ptr<Distribution>(new HistogramDist(edges_, probs_));
-}
-
 }  // namespace dist
 }  // namespace ausdb

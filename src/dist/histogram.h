@@ -39,7 +39,6 @@ class HistogramDist final : public Distribution {
   void CdfMany(std::span<const double> xs, std::span<double> out) const;
   double Sample(Rng& rng) const override;
   std::string ToString() const override;
-  std::shared_ptr<Distribution> Clone() const override;
 
   size_t bin_count() const { return probs_.size(); }
   const std::vector<double>& edges() const { return edges_; }

@@ -19,10 +19,6 @@ const char* EventTypeName(EventType type) {
       return "breaker_reclose";
     case EventType::kCostRechoice:
       return "cost_rechoice";
-    case EventType::kDriftQuarantine:
-      return "drift_quarantine";
-    case EventType::kDriftRelearn:
-      return "drift_relearn";
     case EventType::kLateRevision:
       return "late_revision";
     case EventType::kCheckpoint:

@@ -14,18 +14,15 @@ namespace obs {
 /// Every entry corresponds to a decision the engine used to make
 /// invisibly: the governor shedding or restoring precision, the breaker
 /// quarantining a plan, the cost model re-choosing an annotation method,
-/// drift quarantining a learned model, a late tuple forcing a window
-/// revision, or recovery rewriting pipeline state. The journal is how a
-/// query-facing surface (EXPLAIN ANALYZE, a future server) answers "why
-/// did my intervals widen?".
+/// a late tuple forcing a window revision, or recovery rewriting pipeline
+/// state. The journal is how a query-facing surface (EXPLAIN ANALYZE, a
+/// future server) answers "why did my intervals widen?".
 enum class EventType {
   kRungEscalation,   ///< governor shed one precision rung
   kRungRelaxation,   ///< governor restored one precision rung
   kBreakerTrip,      ///< circuit breaker opened (persistent overload)
   kBreakerReclose,   ///< breaker cooldown elapsed; half-open re-admit
   kCostRechoice,     ///< cost model put a new MethodSpec in force
-  kDriftQuarantine,  ///< drift detector latched: learned model is stale
-  kDriftRelearn,     ///< stale reference discarded and relearned
   kLateRevision,     ///< late tuple re-emitted already-emitted windows
   kCheckpoint,       ///< recovery manager wrote a checkpoint generation
   kRestore,          ///< recovery manager restored a generation

@@ -17,8 +17,8 @@ namespace serde {
 /// AUSDB results are richer than scalars (distributions, intervals,
 /// membership probabilities, significance outcomes); downstream tools
 /// consume them as JSON. The writer is lossless for histogram/Gaussian/
-/// discrete/point distributions; empirical and mixture distributions are
-/// summarized (kind + moments + size), since their full payload is
+/// discrete/point distributions; empirical and parametric distributions
+/// are summarized by kind and moments, since an empirical payload is
 /// usually Monte Carlo bulk.
 
 /// A distribution as JSON, e.g.

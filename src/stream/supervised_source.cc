@@ -155,10 +155,7 @@ Result<std::optional<engine::Tuple>> SupervisedScan::Next() {
     AUSDB_ASSIGN_OR_RETURN(std::optional<engine::Tuple> t, PullWithRetry());
     if (!t.has_value()) return std::optional<engine::Tuple>(std::nullopt);
 
-    const Status valid =
-        options_.validator
-            ? options_.validator(*t, child_->schema())
-            : ValidateTupleDistributions(*t, child_->schema());
+    const Status valid = ValidateTupleDistributions(*t, child_->schema());
     if (valid.ok()) {
       ++counters_.emitted;
       if (m_emitted_) m_emitted_->Increment();

@@ -33,12 +33,8 @@ using DegradationPolicy = std::function<std::optional<engine::Tuple>(
 DegradationPolicy MakeWideGaussianDegradation(double mean, double variance,
                                               size_t sample_size);
 
-/// \brief Per-tuple validity check; OK admits the tuple. The default
-/// (ValidateTupleDistributions) rejects non-finite distribution
-/// parameters and zero-sample uncertain fields.
-using TupleValidator =
-    std::function<Status(const engine::Tuple&, const engine::Schema&)>;
-
+/// \brief Per-tuple validity check; OK admits the tuple. Rejects
+/// non-finite distribution parameters and zero-sample uncertain fields.
 Status ValidateTupleDistributions(const engine::Tuple& tuple,
                                   const engine::Schema& schema);
 
@@ -64,9 +60,6 @@ struct SupervisedScanOptions {
   /// Bound of the dead-letter buffer; when full, the oldest entry is
   /// evicted (counters().quarantined still counts every diversion).
   size_t quarantine_capacity = 1024;
-
-  /// Replaces ValidateTupleDistributions when set.
-  TupleValidator validator;
 
   /// When set, invalid tuples are offered to this policy before
   /// quarantine.

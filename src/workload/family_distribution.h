@@ -26,9 +26,6 @@ class FamilyDist final : public dist::Distribution {
   std::string ToString() const override {
     return std::string(FamilyToString(family_)) + "(paper params)";
   }
-  std::shared_ptr<dist::Distribution> Clone() const override {
-    return std::make_shared<FamilyDist>(family_);
-  }
 
   Family family() const { return family_; }
 

@@ -146,31 +146,6 @@ TEST(MeanCiTest, InvalidInputs) {
   EXPECT_TRUE(MeanInterval(0, 1, 10, 0.0).status().IsInvalidArgument());
 }
 
-TEST(DeFactoTest, Lemma3MinRule) {
-  // Example 4: sample sizes 15, 10, 20 -> (A+B)/2 has n = 10.
-  const std::vector<size_t> sizes = {15, 10, 20};
-  auto n = DeFactoSampleSize(sizes);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 10u);
-}
-
-TEST(DeFactoTest, CertainInputsIgnored) {
-  const std::vector<size_t> sizes = {dist::RandomVar::kCertainSampleSize,
-                                     12};
-  auto n = DeFactoSampleSize(sizes);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 12u);
-  const std::vector<size_t> all_certain = {
-      dist::RandomVar::kCertainSampleSize};
-  auto nc = DeFactoSampleSize(all_certain);
-  ASSERT_TRUE(nc.ok());
-  EXPECT_EQ(*nc, dist::RandomVar::kCertainSampleSize);
-}
-
-TEST(DeFactoTest, EmptyFails) {
-  EXPECT_TRUE(DeFactoSampleSize({}).status().IsInvalidArgument());
-}
-
 TEST(DeFactoTest, Lemma4SampleCount) {
   // Two inputs with n1 = 2, n2 = 3: c = 3!/(3-2)! = 6.
   const std::vector<size_t> sizes = {2, 3};

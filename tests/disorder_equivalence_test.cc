@@ -9,7 +9,9 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "src/common/logging.h"
 #include "src/dist/gaussian.h"
 #include "src/dist/histogram.h"
+#include "src/dist/learner.h"
 #include "src/engine/accuracy_annotator.h"
 #include "src/engine/executor.h"
 #include "src/engine/recovery_manager.h"
@@ -34,6 +37,7 @@
 #include "src/stream/async_prefetch_source.h"
 #include "src/stream/disorder_injector.h"
 #include "src/stream/replayable_source.h"
+#include "src/workload/family_distribution.h"
 
 namespace ausdb {
 namespace {
@@ -272,6 +276,42 @@ TEST(KeyedBootstrapStreamTest, HistogramIntervalsIgnoreStreamPosition) {
     EXPECT_EQ(serde::ToJson(*first->variance_ci),
               serde::ToJson(*last->variance_ci));
   }
+}
+
+// The keyed stream hashes each field's distribution kind, so the
+// intervals of an empirical and a parametric field sampled from their
+// distributions (raw sample < 2n) pin the kinds' ordinals as well.
+TEST(KeyedBootstrapStreamTest, EmpiricalAndParametricIntervalBitsArePinned) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddField({"e", FieldType::kUncertain}).ok());
+  ASSERT_TRUE(schema.AddField({"p", FieldType::kUncertain}).ok());
+  const std::vector<double> obs = {1.5, 2.0, 3.25, 4.0, 4.5, 5.75, 6.0, 7.5};
+  auto empirical = dist::LearnEmpirical(obs);
+  ASSERT_TRUE(empirical.ok()) << empirical.status().ToString();
+  const dist::RandomVar e(*empirical);
+  ASSERT_LT(e.raw_sample()->size(), 2 * e.sample_size());
+  const dist::RandomVar p(
+      std::make_shared<workload::FamilyDist>(workload::Family::kGamma), 12);
+  OperatorPtr plan = BootstrapAnnotated(std::make_unique<VectorScan>(
+      schema, std::vector<Tuple>{Tuple({expr::Value(e), expr::Value(p)})}));
+  auto out = Collect(*plan);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  const auto& acc = out->front().accuracy();
+  ASSERT_TRUE(acc[0].has_value() && acc[1].has_value());
+  const auto expect_bits = [](const accuracy::ConfidenceInterval& ci,
+                              uint64_t lo, uint64_t hi) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(ci.lo), lo);
+    EXPECT_EQ(std::bit_cast<uint64_t>(ci.hi), hi);
+  };
+  expect_bits(*acc[0]->mean_ci, 0x4009a33333333333ULL,
+              0x4016233333333333ULL);
+  expect_bits(*acc[0]->variance_ci, 0x4000938af8af8af9ULL,
+              0x401a08ea0ea0ea0fULL);
+  expect_bits(*acc[1]->mean_ci, 0x4005b784c841f6b9ULL,
+              0x401297dac23e1e79ULL);
+  expect_bits(*acc[1]->variance_ci, 0x400698897b40580cULL,
+              0x402b096357e304ddULL);
 }
 
 // The same seeded disorder delivered twice produces byte-identical raw

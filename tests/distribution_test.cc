@@ -7,7 +7,6 @@
 #include "src/dist/discrete.h"
 #include "src/dist/empirical.h"
 #include "src/dist/gaussian.h"
-#include "src/dist/mixture.h"
 #include "src/stats/descriptive.h"
 
 namespace ausdb {
@@ -37,7 +36,6 @@ TEST(GaussianDistTest, MomentsAndCdf) {
   EXPECT_NEAR(g.Cdf(10.0), 0.5, 1e-12);
   EXPECT_NEAR(g.Cdf(12.0), 0.8413447460685429, 1e-10);
   EXPECT_NEAR(g.ProbGreater(10.0), 0.5, 1e-12);
-  EXPECT_NEAR(g.ProbBetween(8.0, 12.0), 0.6826894921370859, 1e-10);
 }
 
 TEST(GaussianDistTest, QuantileInvertsCdf) {
@@ -69,19 +67,6 @@ TEST(GaussianDistTest, SampleMomentsMatch) {
   for (int i = 0; i < 100000; ++i) acc.Add(g.Sample(rng));
   EXPECT_NEAR(acc.mean(), 7.0, 0.05);
   EXPECT_NEAR(acc.SampleVariance(), 9.0, 0.2);
-}
-
-TEST(GaussianDistTest, ClosedFormArithmetic) {
-  GaussianDist a(1.0, 2.0), b(3.0, 4.0);
-  const GaussianDist sum = AddIndependent(a, b);
-  EXPECT_DOUBLE_EQ(sum.Mean(), 4.0);
-  EXPECT_DOUBLE_EQ(sum.Variance(), 6.0);
-  const GaussianDist diff = SubtractIndependent(a, b);
-  EXPECT_DOUBLE_EQ(diff.Mean(), -2.0);
-  EXPECT_DOUBLE_EQ(diff.Variance(), 6.0);
-  const GaussianDist aff = Affine(a, 2.0, 10.0);
-  EXPECT_DOUBLE_EQ(aff.Mean(), 12.0);
-  EXPECT_DOUBLE_EQ(aff.Variance(), 8.0);
 }
 
 TEST(DiscreteDistTest, BasicsAndMergedDuplicates) {
@@ -128,33 +113,6 @@ TEST(DiscreteDistTest, SampleFrequenciesMatch) {
   EXPECT_NEAR(counts[2] / double{kDraws}, 0.5, 0.01);
 }
 
-TEST(MixtureDistTest, MomentsFollowTotalLaws) {
-  auto m = MixtureDist::Make(
-      {std::make_shared<GaussianDist>(0.0, 1.0),
-       std::make_shared<GaussianDist>(10.0, 4.0)},
-      {0.5, 0.5});
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->Mean(), 5.0);
-  // E[Var] + Var[E] = 2.5 + 25 = 27.5.
-  EXPECT_DOUBLE_EQ(m->Variance(), 27.5);
-  // 0.5*Phi(5) + 0.5*Phi(-2.5) = 0.5031...
-  EXPECT_NEAR(m->Cdf(5.0), 0.5031, 1e-4);
-}
-
-TEST(MixtureDistTest, UniformWeights) {
-  auto m = MixtureDist::MakeUniform({MakePoint(1.0), MakePoint(3.0)});
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(m->Variance(), 1.0);
-}
-
-TEST(MixtureDistTest, RejectsBadInput) {
-  EXPECT_FALSE(MixtureDist::Make({}, {}).ok());
-  EXPECT_FALSE(MixtureDist::Make({MakePoint(0.0)}, {0.5}).ok());
-  EXPECT_FALSE(
-      MixtureDist::Make({MakePoint(0.0), nullptr}, {0.5, 0.5}).ok());
-}
-
 TEST(EmpiricalDistTest, MomentsAreSampleMoments) {
   auto e = EmpiricalDist::Make({3.0, 1.0, 2.0, 2.0});
   ASSERT_TRUE(e.ok());
@@ -178,15 +136,6 @@ TEST(EmpiricalDistTest, SamplesComeFromSupport) {
 
 TEST(EmpiricalDistTest, RejectsEmpty) {
   EXPECT_TRUE(EmpiricalDist::Make({}).status().IsInvalidArgument());
-}
-
-TEST(DistributionTest, CloneIsDeep) {
-  auto m = MixtureDist::MakeUniform(
-      {std::make_shared<GaussianDist>(0.0, 1.0), MakePoint(2.0)});
-  ASSERT_TRUE(m.ok());
-  auto clone = m->Clone();
-  EXPECT_EQ(clone->kind(), DistributionKind::kMixture);
-  EXPECT_DOUBLE_EQ(clone->Mean(), m->Mean());
 }
 
 TEST(DistributionTest, KindNames) {

@@ -2,8 +2,8 @@
 // byte-deterministic JSON exposition, and the journaling wired into
 // every decision-making component — governor rung moves and breaker
 // trips (with the per-rung epoch-occupancy counters of the accuracy
-// ledger), cost-model re-choices, drift quarantine/relearn, late-tuple
-// window revisions, and recovery checkpoint/restore.
+// ledger), cost-model re-choices, late-tuple window revisions, and
+// recovery checkpoint/restore.
 
 #include <cmath>
 #include <filesystem>
@@ -26,7 +26,6 @@
 #include "src/govern/governor.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/metrics.h"
-#include "src/stream/drift_detector.h"
 #include "src/stream/replayable_source.h"
 
 namespace ausdb {
@@ -96,10 +95,6 @@ TEST(EventJournalTest, EventTypeNamesAreStable) {
                "breaker_reclose");
   EXPECT_STREQ(obs::EventTypeName(EventType::kCostRechoice),
                "cost_rechoice");
-  EXPECT_STREQ(obs::EventTypeName(EventType::kDriftQuarantine),
-               "drift_quarantine");
-  EXPECT_STREQ(obs::EventTypeName(EventType::kDriftRelearn),
-               "drift_relearn");
   EXPECT_STREQ(obs::EventTypeName(EventType::kLateRevision),
                "late_revision");
   EXPECT_STREQ(obs::EventTypeName(EventType::kCheckpoint), "checkpoint");
@@ -126,12 +121,12 @@ TEST(EventJournalTest, ToJsonGolden) {
 
 TEST(EventJournalTest, ToJsonEscapesDetailBytes) {
   EventJournal journal(4);
-  journal.Append(EventType::kDriftQuarantine, 0, "drift.\"q\"",
+  journal.Append(EventType::kLateRevision, 0, "window.\"q\"",
                  "a\\b\nc");
   EXPECT_EQ(journal.ToJson(),
             "{\"capacity\":4,\"recorded\":1,\"dropped\":0,\"events\":["
-            "{\"seq\":0,\"epoch\":0,\"type\":\"drift_quarantine\","
-            "\"scope\":\"drift.\\\"q\\\"\",\"detail\":\"a\\\\b\\nc\"}"
+            "{\"seq\":0,\"epoch\":0,\"type\":\"late_revision\","
+            "\"scope\":\"window.\\\"q\\\"\",\"detail\":\"a\\\\b\\nc\"}"
             "]}");
 }
 
@@ -330,45 +325,6 @@ TEST(CostModelJournalTest, JournalEntriesMirrorDecisionLog) {
     EXPECT_EQ(events[i].detail, decisions[i].spec.ToString());
     EXPECT_EQ(events[i].type, EventType::kCostRechoice);
   }
-}
-
-// ---------------------------------------------------------------------
-// Drift quarantine / relearn journaling
-
-TEST(DriftJournalTest, JournalsQuarantineAndRelearn) {
-  EventJournal journal(16);
-  stream::DriftDetectorOptions opts;
-  opts.reference_size = 128;
-  opts.window_size = 64;
-  opts.check_every = 16;
-  opts.patience = 2;
-  opts.metrics_label = "x";
-  opts.journal = &journal;
-  stream::DriftDetector detector(opts);
-
-  for (int i = 0; i < 256; ++i) {
-    ASSERT_TRUE(detector.Observe(50.0 + (i % 32)).ok());
-  }
-  ASSERT_FALSE(detector.drifted());
-  EXPECT_TRUE(journal.Events().empty()) << "no drift, no events";
-
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(detector.Observe(200.0 + (i % 32)).ok());
-  }
-  ASSERT_TRUE(detector.drifted());
-  ASSERT_TRUE(detector.Relearn().ok());
-
-  const std::vector<EventRecord> events = journal.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].type, EventType::kDriftQuarantine);
-  EXPECT_EQ(events[0].scope, "drift.x");
-  EXPECT_EQ(events[0].detail.substr(0, 3), "ks=");
-  EXPECT_NE(events[0].detail.find(" p="), std::string::npos);
-  EXPECT_EQ(events[1].type, EventType::kDriftRelearn);
-  EXPECT_EQ(events[1].detail,
-            "reference relearned from 64 trailing observations");
-  // Logical time advances between the two decisions.
-  EXPECT_GE(events[1].epoch, events[0].epoch);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Event-time robustness: the WatermarkPolicy, the bounded-lateness
 // ReorderBuffer, late-tuple revision in the time-based window aggregate
-// (with checkpoint round trips), the disordered event-time source, distribution-drift quarantine, and the AQL WITHIN/LATENESS
-// surface.
+// (with checkpoint round trips), the disordered event-time source, and
+// the AQL WITHIN/LATENESS surface.
 
 #include <bit>
 #include <cmath>
@@ -27,9 +27,7 @@
 #include "src/query/planner.h"
 #include "src/serde/checkpoint.h"
 #include "src/serde/json_writer.h"
-#include "src/stream/drift_detector.h"
 #include "src/stream/replayable_source.h"
-#include "src/stream/supervised_source.h"
 #include "src/stream/watermark.h"
 
 namespace ausdb {
@@ -749,86 +747,6 @@ TEST(SourceWatermarkTest, EventTimeSourceHasBoundedDisorder) {
     EXPECT_EQ(serde::ToJson((*replay)[i], schema),
               serde::ToJson((*out)[i], schema));
     EXPECT_EQ((*replay)[i].sequence(), (*out)[i].sequence());
-  }
-}
-
-// ---------------------------------------------------------------------
-// Drift detection and quarantine
-
-TEST(DriftDetectorTest, LatchesAfterPatienceAndRelearns) {
-  stream::DriftDetectorOptions opts;
-  opts.reference_size = 128;
-  opts.window_size = 64;
-  opts.check_every = 16;
-  opts.patience = 2;
-  stream::DriftDetector detector(opts);
-
-  // Reference regime: a deterministic ramp over [50, 82).
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(detector.Observe(50.0 + (i % 32)).ok());
-  }
-  EXPECT_FALSE(detector.drifted());
-
-  // Same regime continues: no drift however long it runs.
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(detector.Observe(50.0 + (i % 32)).ok());
-  }
-  EXPECT_FALSE(detector.drifted());
-  EXPECT_GT(detector.checks_run(), 0u);
-
-  // Regime shift far outside the reference support.
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(detector.Observe(200.0 + (i % 32)).ok());
-  }
-  EXPECT_TRUE(detector.drifted());
-  EXPECT_GE(detector.drift_events(), 1u);
-  ASSERT_TRUE(detector.last_p_value().has_value());
-  EXPECT_LT(*detector.last_p_value(), opts.significance);
-
-  // Relearning from the trailing window adopts the new regime.
-  ASSERT_TRUE(detector.Relearn().ok());
-  EXPECT_FALSE(detector.drifted());
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(detector.Observe(200.0 + (i % 32)).ok());
-  }
-  EXPECT_FALSE(detector.drifted());
-}
-
-TEST(DriftDetectorTest, QuarantinesThroughSupervisedScan) {
-  auto detector = std::make_shared<stream::DriftDetector>([] {
-    stream::DriftDetectorOptions o;
-    o.reference_size = 64;
-    o.window_size = 32;
-    o.check_every = 8;
-    o.patience = 1;
-    return o;
-  }());
-
-  // 128 reference-regime tuples, then 64 shifted ones.
-  std::vector<Tuple> tuples;
-  uint64_t seq = 0;
-  for (int i = 0; i < 128; ++i) {
-    tuples.push_back(TsTuple(seq, 50.0 + (i % 32), seq));
-    ++seq;
-  }
-  for (int i = 0; i < 64; ++i) {
-    tuples.push_back(TsTuple(seq, 200.0 + (i % 32), seq));
-    ++seq;
-  }
-
-  stream::SupervisedScanOptions opts;
-  opts.validator = stream::MakeDriftQuarantineValidator(detector, "x");
-  stream::SupervisedScan scan(Scan(tuples), opts);
-  auto out = Collect(scan);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-
-  EXPECT_TRUE(detector->drifted());
-  EXPECT_GT(scan.counters().quarantined, 0u);
-  EXPECT_EQ(scan.counters().emitted + scan.counters().quarantined,
-            tuples.size());
-  EXPECT_EQ(out->size(), scan.counters().emitted);
-  for (const auto& q : scan.quarantine()) {
-    EXPECT_TRUE(q.status.IsInsufficientData());
   }
 }
 

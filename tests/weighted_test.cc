@@ -7,7 +7,6 @@
 #include "src/accuracy/proportion_ci.h"
 #include "src/accuracy/weighted_accuracy.h"
 #include "src/common/rng.h"
-#include "src/dist/weighted_learner.h"
 #include "src/stats/random_variates.h"
 #include "src/stats/weighted.h"
 
@@ -178,59 +177,4 @@ TEST(WeightedDriftProperty, DecayTracksDrift) {
 }  // namespace
 }  // namespace accuracy
 
-namespace dist {
-namespace {
-
-TEST(WeightedLearnerTest, GaussianEqualWeightsMatchUnweighted) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const std::vector<double> w(5, 3.0);
-  auto learned = LearnWeightedGaussian(x, w);
-  ASSERT_TRUE(learned.ok());
-  EXPECT_DOUBLE_EQ(learned->distribution->Mean(), 3.0);
-  EXPECT_NEAR(learned->distribution->Variance(), 2.5, 1e-12);
-  EXPECT_NEAR(learned->effective_sample_size, 5.0, 1e-12);
-  EXPECT_EQ(learned->raw_count, 5u);
-  const RandomVar rv = learned->ToRandomVar();
-  EXPECT_EQ(rv.sample_size(), 5u);
-}
-
-TEST(WeightedLearnerTest, HistogramWeightedFrequencies) {
-  const std::vector<double> x = {0.5, 1.5, 1.6};
-  const std::vector<double> w = {2.0, 1.0, 1.0};
-  HistogramLearnOptions opts;
-  opts.policy = BinningPolicy::kExplicitEdges;
-  opts.edges = {0.0, 1.0, 2.0};
-  auto learned = LearnWeightedHistogram(x, w, opts);
-  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
-  const auto& h =
-      static_cast<const HistogramDist&>(*learned->distribution);
-  EXPECT_DOUBLE_EQ(h.BinProb(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.BinProb(1), 0.5);
-  // n_eff = 16/6 = 2.667.
-  EXPECT_NEAR(learned->effective_sample_size, 16.0 / 6.0, 1e-12);
-}
-
-TEST(WeightedLearnerTest, ToRandomVarFloorsConservatively) {
-  const std::vector<double> x = {1.0, 2.0, 3.0};
-  const std::vector<double> w = {1.0, 0.5, 0.25};
-  auto learned = LearnWeightedGaussian(x, w);
-  ASSERT_TRUE(learned.ok());
-  // n_eff = (1.75)^2 / 1.3125 = 2.333; floor = 2.
-  EXPECT_NEAR(learned->effective_sample_size, 2.3333, 1e-3);
-  EXPECT_EQ(learned->ToRandomVar().sample_size(), 2u);
-}
-
-TEST(WeightedLearnerTest, InvalidInputs) {
-  const std::vector<double> x = {1.0, 2.0};
-  const std::vector<double> bad_w = {1.0};
-  EXPECT_FALSE(LearnWeightedGaussian(x, bad_w).ok());
-  EXPECT_FALSE(LearnWeightedHistogram(x, bad_w).ok());
-  // n_eff == 1 exactly (single dominant weight).
-  const std::vector<double> dom = {1.0, 0.0};
-  EXPECT_TRUE(
-      LearnWeightedGaussian(x, dom).status().IsInsufficientData());
-}
-
-}  // namespace
-}  // namespace dist
 }  // namespace ausdb
